@@ -50,27 +50,26 @@ fn recurse<T: SortKey>(data: &mut [T], scratch: &mut [T]) -> u64 {
 
 /// Merges sorted `a` and `b` into `dst` (`dst.len() == a.len() + b.len()`),
 /// returning the number of comparisons.
+///
+/// One comparison fills one slot while both runs are non-empty; the rest
+/// of whichever run is left over is then copied in bulk.
 pub fn merge_into<T: SortKey>(a: &[T], b: &[T], dst: &mut [T]) -> u64 {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut compares = 0u64;
+    debug_assert_eq!(dst.len(), a.len() + b.len(), "merge destination length");
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
     for slot in dst.iter_mut() {
-        let take_a = if i < a.len() && j < b.len() {
-            compares += 1;
-            a[i] <= b[j]
-        } else {
-            i < a.len()
+        let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) else {
+            break;
         };
-        *slot = if take_a {
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
-            j += 1;
-            v
-        };
+        let take_a = x <= y;
+        *slot = if take_a { x } else { y };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+        k += 1;
     }
-    compares
+    let (from_a, from_b) = dst[k..].split_at_mut(a.len() - i);
+    from_a.copy_from_slice(&a[i..]);
+    from_b.copy_from_slice(&b[j..]);
+    k as u64
 }
 
 /// Breadth-first mergesort over the HPU framework (Algorithm 7).
@@ -501,6 +500,70 @@ mod tests {
         let mut d3 = [0u32; 3];
         merge_into(&[], &a, &mut d3);
         assert_eq!(d3, [1, 2, 3]);
+    }
+
+    /// Reference merge that decides every slot by a branch. `merge_into`
+    /// must match its outputs and compare counts: simulated charges,
+    /// golden plans and pinned CSVs depend on the count.
+    fn slotwise_merge(a: &[u32], b: &[u32], dst: &mut [u32]) -> u64 {
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut compares = 0u64;
+        for slot in dst.iter_mut() {
+            let take_a = if i < a.len() && j < b.len() {
+                compares += 1;
+                a[i] <= b[j]
+            } else {
+                i < a.len()
+            };
+            *slot = if take_a {
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            };
+        }
+        compares
+    }
+
+    #[test]
+    fn merge_into_matches_the_slotwise_merge() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u32 % m
+        };
+        let run = |len: usize, next: &mut dyn FnMut(u32) -> u32, m: u32| {
+            let mut v: Vec<u32> = (0..len).map(|_| next(m)).collect();
+            v.sort_unstable();
+            v
+        };
+        let mut cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (vec![], vec![]),
+            (vec![], vec![1, 2, 3]),
+            (vec![4, 5], vec![]),
+            // Skewed: one run entirely below / above the other.
+            ((0..50).collect(), (100..103).collect()),
+            ((100..103).collect(), (0..50).collect()),
+            // Equal keys: every comparison is a tie.
+            (vec![7; 9], vec![7; 4]),
+        ];
+        for _ in 0..200 {
+            let (la, lb) = (next(40) as usize, next(40) as usize);
+            // Small key ranges force ties; large ones interleave freely.
+            let m = if next(2) == 0 { 4 } else { u32::MAX };
+            cases.push((run(la, &mut next, m), run(lb, &mut next, m)));
+        }
+        for (a, b) in &cases {
+            let mut want = vec![0u32; a.len() + b.len()];
+            let want_compares = slotwise_merge(a, b, &mut want);
+            let mut got = vec![0u32; a.len() + b.len()];
+            let got_compares = merge_into(a, b, &mut got);
+            assert_eq!(got, want, "a = {a:?}, b = {b:?}");
+            assert_eq!(got_compares, want_compares, "a = {a:?}, b = {b:?}");
+        }
     }
 
     #[test]

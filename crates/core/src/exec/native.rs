@@ -4,17 +4,20 @@
 //! same [`BfAlgorithm`] code, levels fork-joined on a [`LevelPool`],
 //! wall-clock timed. Native runs execute the same way simulated ones do —
 //! a host-only [`Plan`](hpu_model::Plan) fed to [`interpret`] — with
-//! [`NativeBackend`] as the substrate. [`run_native`] returns just the
-//! duration; [`run_native_report`] additionally records every level as a
-//! structured wall-clock span (µs) and aggregates the same per-level
-//! metrics the simulator produces, so native runs appear in the same
-//! Chrome traces and CSV reports as simulated ones.
+//! [`NativeBackend`] as the substrate. The backend times every level
+//! itself: each becomes a structured wall-clock span (µs) and a row of the
+//! same per-level metrics the simulator produces, so native runs appear in
+//! the same Chrome traces and CSV reports as simulated ones.
+//! [`run_native`] returns just the duration; [`run_native_report`] returns
+//! the spans and metrics too.
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use hpu_model::{Plan, ScheduleSpec, Transfer};
-use hpu_obs::{EventKind, LevelBook, LevelMetrics, LevelPhase, TraceEvent, WallRecorder};
+use hpu_obs::{
+    EventKind, LevelBook, LevelMetrics, LevelPhase, Recorder, TraceEvent, Track, WallRecorder,
+};
 
 use crate::bf::{num_levels, BfAlgorithm, Element};
 use crate::charge::NullCharge;
@@ -44,14 +47,13 @@ pub struct NativeBackend<'a, T: Element> {
     data: &'a mut [T],
     scratch: Vec<T>,
     book: LevelBook,
-    start: Instant,
+    clock: WallRecorder,
     metrics: Option<Arc<hpu_obs::MetricsRegistry>>,
 }
 
 impl<'a, T: Element> NativeBackend<'a, T> {
-    /// Creates a backend over `data`, fork-joining levels on `pool` (its
-    /// recorder receives the structured spans) and booking metrics into
-    /// `book`. The wall clock starts now.
+    /// Creates a backend over `data`, fork-joining levels on `pool` and
+    /// booking metrics into `book`. The wall clock starts now.
     pub fn new(pool: LevelPool, data: &'a mut [T], book: LevelBook) -> Self {
         let n = data.len();
         NativeBackend {
@@ -59,7 +61,7 @@ impl<'a, T: Element> NativeBackend<'a, T> {
             data,
             scratch: vec![T::default(); n],
             book,
-            start: Instant::now(),
+            clock: WallRecorder::new(),
             metrics: None,
         }
     }
@@ -71,19 +73,20 @@ impl<'a, T: Element> NativeBackend<'a, T> {
         self
     }
 
-    /// Consumes the backend and returns the filled metrics book.
-    pub fn into_book(self) -> LevelBook {
-        self.book
+    /// Consumes the backend and returns the filled metrics book and the
+    /// level spans (µs since the backend was created).
+    pub fn into_parts(self) -> (LevelBook, Vec<TraceEvent>) {
+        (self.book, self.clock.into_events())
     }
 
     /// Wall-clock time since the backend was created.
     pub fn wall(&self) -> Duration {
-        self.start.elapsed()
+        Duration::from_secs_f64(self.wall_us() * 1e-6)
     }
 
     /// Wall-clock µs since the backend was created (the backend's clock).
     fn wall_us(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e6
+        self.clock.now_us()
     }
 }
 
@@ -102,10 +105,13 @@ impl<T: Element, A: BfAlgorithm<T>> Backend<T, A> for NativeBackend<'_, T> {
         let n = self.data.len();
         let a = algo.branching();
         let base = algo.base_chunk();
+        let pool = &self.pool;
         let mut src_is_data = true;
         let mut chunk = if band.first == 0 {
-            let base_tasks = self.data.chunks_mut(base).len() as u64;
-            let (s, e) = self.pool.run_tagged(
+            let base_tasks = n.div_ceil(base) as u64;
+            let data = &mut *self.data;
+            let (s, e) = timed(
+                &mut self.clock,
                 EventKind::Level {
                     name: algo.name().to_string(),
                     phase: LevelPhase::Base,
@@ -114,10 +120,7 @@ impl<T: Element, A: BfAlgorithm<T>> Backend<T, A> for NativeBackend<'_, T> {
                     ops: 0,
                     mem: 0,
                 },
-                self.data
-                    .chunks_mut(base)
-                    .map(|c| move || algo.base_case(c, &mut NullCharge))
-                    .collect(),
+                || pool.for_each_mut(data, base, |c| algo.base_case(c, &mut NullCharge)),
             );
             self.book.cpu(base as u64, base_tasks, 0, 0, s, e);
             base.saturating_mul(a)
@@ -126,32 +129,32 @@ impl<T: Element, A: BfAlgorithm<T>> Backend<T, A> for NativeBackend<'_, T> {
         };
         let top_chunk = base.saturating_mul(a.saturating_pow(band.last));
         while chunk <= top_chunk && chunk <= n {
-            if src_is_data {
-                native_level(
-                    algo,
-                    &self.pool,
-                    self.data,
-                    &mut self.scratch,
-                    chunk,
-                    &mut self.book,
-                );
+            let (src, dst): (&[T], &mut [T]) = if src_is_data {
+                (self.data, &mut self.scratch)
             } else {
-                native_level(
-                    algo,
-                    &self.pool,
-                    &self.scratch,
-                    self.data,
-                    chunk,
-                    &mut self.book,
-                );
-            }
+                (&self.scratch, self.data)
+            };
+            let tasks = n.div_ceil(chunk) as u64;
+            let (s, e) = timed(
+                &mut self.clock,
+                EventKind::Level {
+                    name: algo.name().to_string(),
+                    phase: LevelPhase::Combine,
+                    chunk: chunk as u64,
+                    tasks,
+                    ops: 0,
+                    mem: 0,
+                },
+                || pool.for_each_pair(src, dst, chunk, |s, d| algo.combine(s, d, &mut NullCharge)),
+            );
+            self.book.cpu(chunk as u64, tasks, 0, 0, s, e);
             src_is_data = !src_is_data;
             chunk = chunk.saturating_mul(a);
         }
         if !src_is_data {
-            let data = &mut *self.data;
-            let scratch = &self.scratch;
-            let (s, e) = self.pool.run_tagged(
+            let (data, scratch) = (&mut *self.data, &self.scratch);
+            let (s, e) = timed(
+                &mut self.clock,
                 EventKind::Level {
                     name: "copy back".to_string(),
                     phase: LevelPhase::CopyBack,
@@ -160,7 +163,7 @@ impl<T: Element, A: BfAlgorithm<T>> Backend<T, A> for NativeBackend<'_, T> {
                     ops: 0,
                     mem: 0,
                 },
-                vec![|| data.copy_from_slice(scratch)],
+                || data.copy_from_slice(scratch),
             );
             self.book.cpu(n as u64, 0, 0, 0, s, e);
         }
@@ -213,9 +216,8 @@ pub fn run_native<T: Element, A: BfAlgorithm<T>>(
 
 /// Runs `algo` over `data` on real threads with structured tracing: a
 /// host-only plan is compiled for the pool's core count and interpreted on
-/// a [`NativeBackend`], so every level becomes a wall-clock span on a fresh
-/// [`WallRecorder`] and a row of per-level metrics. On success `data` holds
-/// the result.
+/// a [`NativeBackend`], so every level becomes a wall-clock span and a row
+/// of per-level metrics. On success `data` holds the result.
 pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
     algo: &A,
     data: &mut [T],
@@ -223,20 +225,12 @@ pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
 ) -> Result<NativeReport, CoreError> {
     let levels = num_levels(algo, data.len())?;
     let n = data.len();
-    let rec = Arc::new(Mutex::new(WallRecorder::new()));
-    let pool = pool.clone().with_recorder(rec.clone());
     let plan = Plan::host_only(n as u64, levels, pool.threads(), ScheduleSpec::CpuParallel);
     let book = LevelBook::new(algo.base_chunk() as u64, algo.branching() as u64);
-    let mut backend = NativeBackend::new(pool, data, book);
+    let mut backend = NativeBackend::new(pool.clone(), data, book);
     interpret(&plan, algo, &mut backend)?;
     let wall = backend.wall();
-    let book = backend.into_book();
-    let trace = std::mem::take(
-        &mut *rec
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    )
-    .into_events();
+    let (book, trace) = backend.into_parts();
     Ok(NativeReport {
         wall,
         levels: book.finish(),
@@ -244,28 +238,12 @@ pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
     })
 }
 
-fn native_level<T: Element, A: BfAlgorithm<T>>(
-    algo: &A,
-    pool: &LevelPool,
-    src: &[T],
-    dst: &mut [T],
-    chunk: usize,
-    book: &mut LevelBook,
-) {
-    let tasks = src.chunks(chunk).len() as u64;
-    let (s, e) = pool.run_tagged(
-        EventKind::Level {
-            name: algo.name().to_string(),
-            phase: LevelPhase::Combine,
-            chunk: chunk as u64,
-            tasks,
-            ops: 0,
-            mem: 0,
-        },
-        src.chunks(chunk)
-            .zip(dst.chunks_mut(chunk))
-            .map(|(s, d)| move || algo.combine(s, d, &mut NullCharge))
-            .collect(),
-    );
-    book.cpu(chunk as u64, tasks, 0, 0, s, e);
+/// Runs one level's `work` and records it on `clock` as a CPU span of
+/// `kind`; returns the span's interval in µs of the clock.
+fn timed(clock: &mut WallRecorder, kind: EventKind, work: impl FnOnce()) -> (f64, f64) {
+    let start = clock.now_us();
+    work();
+    let end = clock.now_us();
+    clock.record_event(Track::Cpu, start, end, kind);
+    (start, end)
 }

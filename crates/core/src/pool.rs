@@ -2,30 +2,30 @@
 //!
 //! The breadth-first translation turns a D&C algorithm into a sequence of
 //! *levels* of independent tasks, so the only primitive the native executor
-//! needs is "run this batch of closures on `k` threads and wait" — a
-//! fork-join per level, mirroring how the paper's implementation launches
-//! CPU threads per recursion level (§6.1).
+//! needs is "run this level on `k` threads and wait" — a fork-join per
+//! level, mirroring how the paper's implementation launches CPU threads per
+//! recursion level (§6.1).
 //!
-//! Workers pull task indices from a shared atomic counter (self-balancing
-//! for uneven task costs); scoped threads keep borrows of the caller's
-//! data safe without `'static` bounds.
+//! A level is split into one contiguous block of whole tasks per thread:
+//! block 0 runs on the caller, the others on scoped threads that borrow
+//! the caller's data without `'static` bounds. There is no per-task
+//! allocation, lock or shared counter. The slice primitives
+//! ([`LevelPool::for_each_mut`], [`LevelPool::for_each_pair`]) run a level
+//! inline when it has one task or fewer than `SPAWN_MIN_ELEMS` elements,
+//! below which a thread spawn costs more than the work it would take over.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::panic::resume_unwind;
 
-use hpu_obs::{EventKind, Recorder, Track, WallRecorder};
+/// Levels smaller than this many elements run inline on the caller. A
+/// scoped spawn and join costs tens of µs; a mergesort level of 2^15
+/// `u32`s costs about as much, so only larger levels gain from a split.
+const SPAWN_MIN_ELEMS: usize = 1 << 15;
 
-/// A fork-join executor running each submitted level on `threads` OS
-/// threads.
-///
-/// A pool can carry an optional wall-clock [`WallRecorder`]: levels
-/// submitted through [`LevelPool::run_tagged`] are then recorded as
-/// structured spans (µs since the recorder's origin) for Chrome trace
-/// export. Cloned pools share the same recorder.
+/// A fork-join executor running each submitted level on up to `threads`
+/// OS threads.
 #[derive(Debug, Clone)]
 pub struct LevelPool {
     threads: usize,
-    recorder: Option<Arc<Mutex<WallRecorder>>>,
 }
 
 impl LevelPool {
@@ -33,7 +33,6 @@ impl LevelPool {
     pub fn new(threads: usize) -> Self {
         LevelPool {
             threads: threads.max(1),
-            recorder: None,
         }
     }
 
@@ -50,105 +49,139 @@ impl LevelPool {
         self.threads
     }
 
-    /// Attaches a shared wall-clock recorder; levels run through
-    /// [`LevelPool::run_tagged`] will be recorded as structured spans.
-    pub fn with_recorder(mut self, rec: Arc<Mutex<WallRecorder>>) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<Mutex<WallRecorder>>> {
-        self.recorder.as_ref()
-    }
-
-    /// Runs a level of independent tasks like [`LevelPool::run`], recording
-    /// it on the attached recorder (if any) as an event of the given kind.
-    /// Returns the level's wall-clock interval in µs since the recorder's
-    /// origin (`(0, 0)` without a recorder).
-    pub fn run_tagged<F>(&self, kind: EventKind, tasks: Vec<F>) -> (f64, f64)
+    /// Runs `f` on every `chunk`-sized piece of `data` (the last piece may
+    /// be shorter) — one level of in-place tasks such as a base case.
+    pub fn for_each_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
     where
-        F: FnOnce() + Send,
+        T: Send,
+        F: Fn(&mut [T]) + Sync,
     {
-        match &self.recorder {
-            None => {
-                self.run(tasks);
-                (0.0, 0.0)
-            }
-            Some(rec) => {
-                // Poison-tolerant: a panicked worker elsewhere must not
-                // wedge the recorder for surviving levels.
-                let start = rec.lock().unwrap_or_else(PoisonError::into_inner).now_us();
-                self.run(tasks);
-                let mut rec = rec.lock().unwrap_or_else(PoisonError::into_inner);
-                let end = rec.now_us();
-                rec.record_event(Track::Cpu, start, end, kind);
-                (start, end)
-            }
-        }
+        let chunk = chunk.max(1);
+        let mut rest = data;
+        let blocks: Vec<&mut [T]> = self
+            .block_lens(rest.len(), chunk)
+            .map(|len| {
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                block
+            })
+            .collect();
+        fork_join(blocks, |block| block.chunks_mut(chunk).for_each(&f));
     }
 
-    /// Runs a level of independent tasks to completion.
-    pub fn run<F>(&self, tasks: Vec<F>)
+    /// Runs `f` on every pair of matching `chunk`-sized pieces of `src` and
+    /// `dst` — one level of out-of-place tasks such as a combine.
+    ///
+    /// # Panics
+    /// If `src` and `dst` differ in length.
+    pub fn for_each_pair<T, F>(&self, src: &[T], dst: &mut [T], chunk: usize, f: F)
     where
-        F: FnOnce() + Send,
+        T: Send + Sync,
+        F: Fn(&[T], &mut [T]) + Sync,
     {
-        let _: Vec<()> = self.run_collect(tasks.into_iter().map(|t| move || t()).collect());
+        assert_eq!(src.len(), dst.len(), "source and destination lengths");
+        let chunk = chunk.max(1);
+        let (mut src_rest, mut dst_rest) = (src, dst);
+        let blocks: Vec<(&[T], &mut [T])> = self
+            .block_lens(src.len(), chunk)
+            .map(|len| {
+                let (s, s_tail) = src_rest.split_at(len);
+                let (d, d_tail) = std::mem::take(&mut dst_rest).split_at_mut(len);
+                (src_rest, dst_rest) = (s_tail, d_tail);
+                (s, d)
+            })
+            .collect();
+        fork_join(blocks, |(s, d)| {
+            s.chunks(chunk)
+                .zip(d.chunks_mut(chunk))
+                .for_each(|(s, d)| f(s, d))
+        });
     }
 
     /// Runs a level of independent tasks, returning their results in task
-    /// order.
-    pub fn run_collect<F, R>(&self, tasks: Vec<F>) -> Vec<R>
+    /// order. Each thread runs one contiguous block of the task list; a
+    /// level of two or more tasks always forks, as tasks carry no size to
+    /// weigh against the spawn cost.
+    pub fn run_collect<F, R>(&self, mut tasks: Vec<F>) -> Vec<R>
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Single thread or single task: run inline, no spawn cost.
-        if self.threads == 1 || n == 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-        let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(n);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Poison-tolerant: if a sibling worker panicked mid-task
-                    // the remaining workers still drain their slots; the
-                    // original panic resurfaces when the scope joins.
-                    let task = slots[i]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        .expect("each task taken once");
-                    *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(task());
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every task ran")
-            })
-            .collect()
+        let lens: Vec<usize> = split_evenly(tasks.len(), self.threads).collect();
+        // Split from the back so every block is an owned, in-order run.
+        let mut blocks: Vec<Vec<F>> = lens
+            .iter()
+            .rev()
+            .map(|&len| tasks.split_off(tasks.len() - len))
+            .collect();
+        blocks.reverse();
+        fork_join(blocks, |block| {
+            block.into_iter().map(|t| t()).collect::<Vec<R>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
+
+    /// Element lengths of the contiguous blocks a level of `len` elements
+    /// in `chunk`-sized tasks splits into: whole tasks only, as even as
+    /// possible, one block when the level is too small to pay for a spawn.
+    fn block_lens(&self, len: usize, chunk: usize) -> impl Iterator<Item = usize> {
+        let tasks = len.div_ceil(chunk);
+        let threads = if len < SPAWN_MIN_ELEMS {
+            1
+        } else {
+            self.threads
+        };
+        let mut left = len;
+        split_evenly(tasks, threads).map(move |k| {
+            let take = (k * chunk).min(left);
+            left -= take;
+            take
+        })
+    }
+}
+
+/// Splits `tasks` into `min(parts, tasks)` non-empty runs whose lengths
+/// differ by at most one (a single empty run when `tasks` is 0).
+fn split_evenly(tasks: usize, parts: usize) -> impl Iterator<Item = usize> {
+    let parts = parts.clamp(1, tasks.max(1));
+    (0..parts).map(move |k| tasks / parts + usize::from(k < tasks % parts))
+}
+
+/// Runs `f` on every block, block 0 on the calling thread and each other
+/// block on its own scoped thread, and returns the results in block order.
+/// A panic in any block resurfaces here, with its own payload, once every
+/// block has finished.
+fn fork_join<B, R, F>(blocks: Vec<B>, f: F) -> Vec<R>
+where
+    B: Send,
+    R: Send,
+    F: Fn(B) -> R + Sync,
+{
+    let mut blocks = blocks.into_iter();
+    let Some(first) = blocks.next() else {
+        return Vec::new();
+    };
+    if blocks.len() == 0 {
+        return vec![f(first)];
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = blocks.map(|b| scope.spawn(move || f(b))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(first));
+        for h in handles {
+            out.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn runs_all_tasks() {
@@ -162,16 +195,20 @@ mod tests {
                 }
             })
             .collect();
-        pool.run(tasks);
+        let _: Vec<()> = pool.run_collect(tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     fn collect_preserves_order() {
-        let pool = LevelPool::new(3);
-        let tasks: Vec<_> = (0..50usize).map(|i| move || i * i).collect();
-        let out = pool.run_collect(tasks);
-        assert_eq!(out, (0..50).map(|i| i * i).collect::<Vec<_>>());
+        for threads in 1..=5 {
+            let pool = LevelPool::new(threads);
+            for n in [1usize, 2, 3, 7, 50] {
+                let tasks: Vec<_> = (0..n).map(|i| move || i * i).collect();
+                let out = pool.run_collect(tasks);
+                assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]
@@ -179,6 +216,8 @@ mod tests {
         let pool = LevelPool::new(2);
         let out: Vec<u8> = pool.run_collect(Vec::<fn() -> u8>::new());
         assert!(out.is_empty());
+        pool.for_each_mut(&mut [0u8; 0], 4, |_| panic!("no tasks"));
+        pool.for_each_pair(&[0u8; 0], &mut [], 4, |_, _| panic!("no tasks"));
     }
 
     #[test]
@@ -209,7 +248,7 @@ mod tests {
                     }
                 })
                 .collect();
-            pool.run(tasks);
+            let _: Vec<()> = pool.run_collect(tasks);
         }
         assert_eq!(data[0], 0);
         assert_eq!(data[5], 1);
@@ -217,20 +256,90 @@ mod tests {
     }
 
     #[test]
-    fn tagged_levels_land_on_the_recorder() {
-        let rec = Arc::new(Mutex::new(WallRecorder::new()));
-        let pool = LevelPool::new(2).with_recorder(rec.clone());
-        let tasks: Vec<_> = (0..8).map(|_| || {}).collect();
-        let (s, e) = pool.run_tagged(EventKind::Mark("lvl".into()), tasks);
-        assert!(e >= s);
-        let rec = rec.lock().unwrap();
-        assert_eq!(rec.events().len(), 1);
-        assert!(rec.events()[0].duration() >= 0.0);
+    fn blocks_hold_whole_tasks_and_cover_the_level() {
+        for threads in 1..=4 {
+            let pool = LevelPool::new(threads);
+            for (len, chunk) in [
+                (0, 4),
+                (5, 8),
+                (SPAWN_MIN_ELEMS - 1, 2),
+                (SPAWN_MIN_ELEMS, 1),
+            ]
+            .into_iter()
+            .chain([(1 << 16, 1 << 16), (3 << 15, 1 << 10), ((1 << 16) + 3, 7)])
+            {
+                let lens: Vec<usize> = pool.block_lens(len, chunk).collect();
+                assert_eq!(lens.iter().sum::<usize>(), len, "{len}/{chunk}");
+                let tasks = len.div_ceil(chunk);
+                let want = if len < SPAWN_MIN_ELEMS {
+                    1
+                } else {
+                    threads.min(tasks)
+                };
+                assert_eq!(lens.len(), want, "{len}/{chunk} on {threads}");
+                // Every block but the last is whole tasks.
+                for l in &lens[..lens.len() - 1] {
+                    assert_eq!(l % chunk, 0, "{len}/{chunk}: {lens:?}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn uneven_tasks_self_balance() {
-        // Just a smoke test that wildly uneven tasks complete.
+    fn slice_levels_visit_every_chunk_once() {
+        let len = (SPAWN_MIN_ELEMS * 2) + 5;
+        for threads in [1, 2, 3] {
+            let pool = LevelPool::new(threads);
+            let mut data = vec![0u32; len];
+            pool.for_each_mut(&mut data, 3, |c| c.iter_mut().for_each(|x| *x += 1));
+            assert!(data.iter().all(|&x| x == 1));
+            let src: Vec<u32> = (0..len as u32).collect();
+            let mut dst = vec![0u32; len];
+            pool.for_each_pair(&src, &mut dst, 6, |s, d| {
+                d.iter_mut().zip(s.iter().rev()).for_each(|(d, &s)| *d = s)
+            });
+            let expect: Vec<u32> = src
+                .chunks(6)
+                .flat_map(|c| c.iter().rev().copied())
+                .collect();
+            assert_eq!(dst, expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn large_levels_really_fork() {
+        let pool = LevelPool::new(2);
+        let caller = std::thread::current().id();
+        let off_caller = AtomicU64::new(0);
+        pool.for_each_mut(&mut vec![0u8; SPAWN_MIN_ELEMS], 1, |_| {
+            if std::thread::current().id() != caller {
+                off_caller.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(
+            off_caller.load(Ordering::Relaxed),
+            SPAWN_MIN_ELEMS as u64 / 2
+        );
+    }
+
+    #[test]
+    fn a_block_panic_resurfaces_with_its_payload() {
+        let pool = LevelPool::new(2);
+        let src: Vec<usize> = (0..SPAWN_MIN_ELEMS).collect();
+        let mut dst = vec![0usize; SPAWN_MIN_ELEMS];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_pair(&src, &mut dst, 1, |s, _| {
+                if s[0] == SPAWN_MIN_ELEMS - 1 {
+                    panic!("boom in the last block");
+                }
+            });
+        }))
+        .expect_err("the panic crosses the join");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"boom in the last block"));
+    }
+
+    #[test]
+    fn uneven_tasks_complete() {
         let pool = LevelPool::new(4);
         let out = pool.run_collect(
             (0..20usize)

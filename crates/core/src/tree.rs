@@ -316,6 +316,52 @@ mod tests {
         }
     }
 
+    /// Order-sensitive tree form: every node returns its range's elements
+    /// in order, so a level whose results come back out of task order
+    /// yields a permuted output. Ranges divisible by 3 split three ways,
+    /// giving levels with odd task counts.
+    struct Gather<'a> {
+        data: &'a [u64],
+    }
+
+    impl DivideConquer for Gather<'_> {
+        type Param = Range;
+        type Output = Vec<u64>;
+        fn is_base(&self, &(lo, hi): &Range) -> bool {
+            hi - lo <= 1
+        }
+        fn base_case(&self, (lo, hi): Range, _c: &mut dyn Charge) -> Vec<u64> {
+            self.data[lo..hi].to_vec()
+        }
+        fn divide(&self, &(lo, hi): &Range, _c: &mut dyn Charge) -> Vec<Range> {
+            let len = hi - lo;
+            if len % 3 == 0 {
+                let t = len / 3;
+                vec![(lo, lo + t), (lo + t, lo + 2 * t), (lo + 2 * t, hi)]
+            } else {
+                let mid = lo + len / 2;
+                vec![(lo, mid), (mid, hi)]
+            }
+        }
+        fn combine(&self, _p: Range, ch: Vec<Vec<u64>>, _c: &mut dyn Charge) -> Vec<u64> {
+            ch.concat()
+        }
+    }
+
+    #[test]
+    fn threaded_large_trees_match_sequential() {
+        for n in [(1usize << 16) + 1, 3 << 15] {
+            let d = data(n);
+            let algo = Gather { data: &d };
+            let seq = run_breadth_first(&algo, (0, n), &mut NullCharge);
+            assert_eq!(seq, d, "n = {n}");
+            for threads in [2, 3] {
+                let t = run_threaded(&algo, (0, n), &LevelPool::new(threads));
+                assert!(t == seq, "n = {n} on {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn sim_cpu_matches_and_speeds_up_with_cores() {
         let d = data(256);

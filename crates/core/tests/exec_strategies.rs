@@ -2,12 +2,13 @@
 //! independent of the algorithm library.
 
 use hpu_core::charge::Charge;
-use hpu_core::exec::{run_native, run_sim, Strategy};
+use hpu_core::exec::{run_native, run_native_report, run_sim, Strategy};
 use hpu_core::pool::LevelPool;
 use hpu_core::tune::{auto_advanced, grid_search_sim};
 use hpu_core::{BfAlgorithm, CoreError};
 use hpu_machine::{CpuConfig, GpuConfig, MachineConfig, SimHpu};
 use hpu_model::{CostFn, Recurrence};
+use hpu_obs::{EventKind, LevelPhase};
 
 /// Minimal 2-way mergesort in breadth-first form.
 struct ToySort;
@@ -232,6 +233,111 @@ fn native_executor_sorts() {
         let expect = sorted_copy(&data);
         run_native(&ToySort, &mut data, &pool).unwrap();
         assert_eq!(data, expect, "n = {n}");
+    }
+}
+
+/// Sorts by re-sorting each combined chunk: correct for any branching
+/// factor, so levels can have odd task counts.
+struct Resort(usize);
+
+impl BfAlgorithm<u32> for Resort {
+    fn name(&self) -> &'static str {
+        "resort"
+    }
+
+    fn branching(&self) -> usize {
+        self.0
+    }
+
+    fn base_case(&self, _chunk: &mut [u32], _charge: &mut dyn Charge) {}
+
+    fn combine(&self, src: &[u32], dst: &mut [u32], _charge: &mut dyn Charge) {
+        dst.copy_from_slice(src);
+        dst.sort_unstable();
+    }
+
+    fn recurrence(&self) -> Recurrence {
+        Recurrence::new(self.0, self.0, CostFn::Linear(1.0), 1.0).unwrap()
+    }
+}
+
+/// Sizes from 2^16 up take the pool's threaded path on its large levels;
+/// 3 threads split the levels into uneven blocks. Every output must equal
+/// the 1-thread run's and `sort_unstable`'s.
+#[test]
+fn native_threaded_levels_match_one_thread_and_std() {
+    for n in [1usize << 16, 1 << 17, 1 << 18] {
+        let keys = input(n);
+        let mut one = keys.clone();
+        run_native(&ToySort, &mut one, &LevelPool::new(1)).unwrap();
+        assert!(one == sorted_copy(&keys), "n = {n} on 1 thread");
+        for threads in [2, 3] {
+            let mut d = keys.clone();
+            run_native(&ToySort, &mut d, &LevelPool::new(threads)).unwrap();
+            assert!(d == one, "n = {n} on {threads} threads");
+        }
+    }
+}
+
+/// A 3-way recursion puts an odd number of tasks on every level but the
+/// top, so the 2-thread split gives blocks of different task counts.
+#[test]
+fn native_odd_task_counts_match_one_thread() {
+    let n = 3usize.pow(10);
+    let keys = input(n);
+    let mut one = keys.clone();
+    run_native(&Resort(3), &mut one, &LevelPool::new(1)).unwrap();
+    assert!(one == sorted_copy(&keys));
+    for threads in [2, 3] {
+        let mut d = keys.clone();
+        run_native(&Resort(3), &mut d, &LevelPool::new(threads)).unwrap();
+        assert!(d == one, "{threads} threads");
+    }
+}
+
+/// Threaded or inline, every level is one wall-clock span and one metrics
+/// row with the level's chunk and task count, and an odd number of
+/// combine levels ends in one copy-back span.
+#[test]
+fn native_report_has_one_span_and_row_per_level() {
+    for log in [15u32, 16] {
+        let n = 1usize << log;
+        let want: Vec<(u64, u64)> = (0..=log).map(|k| (1 << k, (n >> k) as u64)).collect();
+        for threads in [1, 2] {
+            let mut d = input(n);
+            let rep = run_native_report(&ToySort, &mut d, &LevelPool::new(threads)).unwrap();
+            let spans: Vec<(u64, u64)> = rep
+                .trace
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    EventKind::Level {
+                        phase: LevelPhase::Base | LevelPhase::Combine,
+                        chunk,
+                        tasks,
+                        ..
+                    } => Some((*chunk, *tasks)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(spans, want, "n = 2^{log} on {threads} threads");
+            let copy_backs = rep
+                .trace
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        EventKind::Level {
+                            phase: LevelPhase::CopyBack,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(copy_backs, log as usize % 2);
+            assert!(rep.trace.windows(2).all(|w| w[0].end <= w[1].start));
+            let rows: Vec<(u64, u64)> = rep.levels.iter().map(|l| (l.chunk, l.tasks)).collect();
+            assert_eq!(rows, want);
+        }
     }
 }
 

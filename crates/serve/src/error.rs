@@ -40,8 +40,8 @@ pub enum ServeError {
         source: CoreError,
     },
     /// A shared lock was found poisoned by a worker panic. The holder's
-    /// state was recovered (poison is cleared, the pool rebuilt) and the
-    /// error recorded so the incident is visible, not silent.
+    /// state was recovered (poison is cleared) and the error recorded so
+    /// the incident is visible, not silent.
     Poisoned {
         /// Which lock was poisoned.
         context: &'static str,

@@ -158,7 +158,7 @@ pub fn serve_native(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut pool = LevelPool::new(threads_per_worker);
+                let pool = LevelPool::new(threads_per_worker);
                 // Without a fault configuration a panic is still caught
                 // and typed, just never retried.
                 let recovery =
@@ -239,16 +239,17 @@ pub fn serve_native(
                         }
                     }
                     // Panic-safe run: a panicking workload is caught at the
-                    // job boundary, the possibly-poisoned pool rebuilt, and
-                    // the job retried under the backoff policy before it
-                    // surfaces as a typed failure. The worker survives.
+                    // job boundary and retried under the backoff policy
+                    // before it surfaces as a typed failure. The worker and
+                    // its pool survive: the pool holds no shared state to
+                    // poison, and a level joins every block before a panic
+                    // resurfaces here.
                     let mut retries: u32 = 0;
                     let attempt = loop {
                         match catch_unwind(AssertUnwindSafe(|| job.workload.run_native(&pool))) {
                             Ok(Ok(_)) => break Attempt::Ok,
                             Ok(Err(e)) => break Attempt::Err(e),
                             Err(payload) => {
-                                pool = LevelPool::new(threads_per_worker);
                                 if retries < recovery.max_retries {
                                     // Clamped: unclamped `base * factor^k`
                                     // overflows `as u64` past 2^64 µs and in

@@ -495,6 +495,128 @@ fn native_calibration_learns_a_prediction_scale() {
     );
 }
 
+/// Key that makes [`ProbeSort`]'s base case panic.
+const POISON: u64 = u64::MAX;
+
+/// What [`ProbeSort`] jobs saw: the thread that ran the chunk holding
+/// key 0 (block 0 of a level runs on the caller), and every finished
+/// sort's output.
+#[derive(Default)]
+struct ProbeLog {
+    caller: Option<std::thread::ThreadId>,
+    outputs: Vec<Vec<u64>>,
+}
+
+/// Mergesort over `n` keys that logs into a shared [`ProbeLog`] and
+/// panics on [`POISON`], naming the thread it panicked on.
+struct ProbeSort {
+    n: usize,
+    log: std::sync::Arc<std::sync::Mutex<ProbeLog>>,
+}
+
+impl hpu_core::BfAlgorithm<u64> for ProbeSort {
+    fn name(&self) -> &'static str {
+        "probe-sort"
+    }
+
+    fn base_case(&self, chunk: &mut [u64], charge: &mut dyn hpu_core::charge::Charge) {
+        let here = std::thread::current().id();
+        if chunk.contains(&0) {
+            self.log.lock().unwrap().caller = Some(here);
+        }
+        if chunk.contains(&POISON) {
+            panic!("poison key on {here:?}");
+        }
+        MergeSort::new().base_case(chunk, charge);
+    }
+
+    fn combine(&self, src: &[u64], dst: &mut [u64], charge: &mut dyn hpu_core::charge::Charge) {
+        MergeSort::new().combine(src, dst, charge);
+        if dst.len() == self.n {
+            self.log.lock().unwrap().outputs.push(dst.to_vec());
+        }
+    }
+
+    fn recurrence(&self) -> hpu_model::Recurrence {
+        hpu_core::BfAlgorithm::<u64>::recurrence(&MergeSort::new())
+    }
+}
+
+/// A panic in a block the pool ran off the caller thread is caught at
+/// the job boundary and typed, and the same worker (and pool) then
+/// serves later jobs on the threaded path correctly.
+#[test]
+fn native_block_panic_is_typed_and_the_worker_serves_on() {
+    use hpu_serve::{serve_native, NativeJobRequest};
+
+    let n = 1usize << 16;
+    let log = std::sync::Arc::new(std::sync::Mutex::new(ProbeLog::default()));
+    let keys = |salt: u64| -> Vec<u64> {
+        (1..=n as u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt)
+            .collect()
+    };
+    // Key 0 first (the caller's block), the poison key last (the other
+    // block's) — the base level of 2^16 keys splits across both threads.
+    let mut poisoned: Vec<u64> = (1..=n as u64).collect();
+    poisoned[0] = 0;
+    poisoned[n - 1] = POISON;
+    let job = |data: Vec<u64>| {
+        AlgoJob::boxed(
+            ProbeSort {
+                n,
+                log: log.clone(),
+            },
+            data,
+        )
+    };
+    let mut jobs = vec![NativeJobRequest::new("poisoned", 0, job(poisoned))];
+    let healthy: Vec<Vec<u64>> = (1..=3).map(keys).collect();
+    for (i, data) in healthy.iter().enumerate() {
+        let arrival = 20_000 * (i as u64 + 1);
+        jobs.push(NativeJobRequest::new(
+            format!("sort-{i}"),
+            arrival,
+            job(data.clone()),
+        ));
+    }
+    let out = serve_native(&ServeConfig::default(), 1, 2, jobs);
+
+    let caller = log.lock().unwrap().caller.expect("block 0 saw key 0");
+    let panics: Vec<&String> = out
+        .errors
+        .iter()
+        .filter_map(|e| match e {
+            ServeError::WorkerPanic { job: 0, message } => Some(message),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(panics.len(), 1, "errors: {:?}", out.errors);
+    assert!(panics[0].starts_with("poison key on "), "{}", panics[0]);
+    assert_ne!(
+        *panics[0],
+        format!("poison key on {caller:?}"),
+        "the panic must come from a block off the caller thread"
+    );
+    let r = &out.report;
+    assert_eq!(r.completed, 3);
+    assert!(matches!(
+        r.jobs.iter().find(|j| j.id == 0).unwrap().outcome,
+        JobOutcome::Failed { .. }
+    ));
+    let mut got = std::mem::take(&mut log.lock().unwrap().outputs);
+    let mut want: Vec<Vec<u64>> = healthy
+        .into_iter()
+        .map(|mut v| {
+            v.sort_unstable();
+            v
+        })
+        .collect();
+    got.sort();
+    want.sort();
+    assert!(got == want, "later jobs sort correctly on the same worker");
+}
+
 /// The plan cache is observationally transparent: serving with it on
 /// produces identical job records to serving with it off, while
 /// deduplicating compiles and reporting a positive hit rate.
