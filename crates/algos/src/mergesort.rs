@@ -21,7 +21,7 @@
 
 use hpu_core::charge::{Charge, GpuCharge};
 use hpu_core::{BfAlgorithm, CoreError, Element, LevelInfo};
-use hpu_machine::{DeviceBuffer, LaunchStats, MachineError, SimGpu, SimHpu};
+use hpu_machine::{DeviceBuffer, LaunchStats, MachineError, SimGpu, SimHpu, Stream};
 use hpu_model::{CostFn, Recurrence};
 
 /// Elements sortable by the HPU mergesort.
@@ -70,6 +70,43 @@ pub fn merge_into<T: SortKey>(a: &[T], b: &[T], dst: &mut [T]) -> u64 {
     from_a.copy_from_slice(&a[i..]);
     from_b.copy_from_slice(&b[j..]);
     k as u64
+}
+
+/// [`merge_into`] over strided runs: merges the sorted runs of `run`
+/// elements at `src[a0]`, `src[a0 + step]`, … and `src[b0]`, … into
+/// `dst[d0]`, `dst[d0 + d_step]`, …, returning the number of comparisons.
+/// The device kernels use it on column-major layouts.
+fn merge_strided<T: SortKey>(
+    src: &[T],
+    (a0, b0, step): (usize, usize, usize),
+    run: usize,
+    dst: &mut [T],
+    (d0, d_step): (usize, usize),
+) -> u64 {
+    let (a_end, b_end) = (a0 + run * step, b0 + run * step);
+    let (mut ia, mut ib, mut k) = (a0, b0, d0);
+    let mut compares = 0u64;
+    while ia < a_end && ib < b_end {
+        let (x, y) = (src[ia], src[ib]);
+        let take_a = x <= y;
+        dst[k] = if take_a { x } else { y };
+        // Masks instead of a branch: the outcome is data-dependent, and
+        // the next loads wait on these offsets.
+        let step_a = step & usize::from(take_a).wrapping_neg();
+        ia += step_a;
+        ib += step - step_a;
+        k += d_step;
+        compares += 1;
+    }
+    let rest = |from: usize, end: usize| (from..end).step_by(step).map(|p| src[p]);
+    for (slot, v) in dst[k..]
+        .iter_mut()
+        .step_by(d_step)
+        .zip(rest(ia, a_end).chain(rest(ib, b_end)))
+    {
+        *slot = v;
+    }
+    compares
 }
 
 /// Breadth-first mergesort over the HPU framework (Algorithm 7).
@@ -189,6 +226,7 @@ impl<T: SortKey> BfAlgorithm<T> for MergeSort {
             return gpu.launch2(
                 &format!("mergesort generic combine (chunk {chunk})"),
                 level.tasks,
+                &[],
                 src,
                 dst,
                 |id, ctx, s, d| {
@@ -204,82 +242,50 @@ impl<T: SortKey> BfAlgorithm<T> for MergeSort {
         let out_cols = level.tasks;
         let in_cols = 2 * out_cols;
         let run = level.chunk / 2;
+        // Every work-item writes column `id` of the `out_cols`-column
+        // layout: write bases advance by 1 per item and coalesce.
+        let column_out = Stream::write(1, 0, 1, level.chunk, out_cols);
         if self.base_chunk > 1 && level.chunk == 2 * self.base_chunk {
             // First combine after a multi-element cutoff: the base level
             // left *row-major* sorted runs. Merge adjacent runs, writing
             // the column-major layout the later levels rely on. The reads
-            // are strided across work-items (uncoalesced) — this is the
-            // §6.3 permutation cost surfacing at the cutoff boundary.
+            // advance by a whole run pair per item (uncoalesced) — this is
+            // the §6.3 permutation cost surfacing at the cutoff boundary.
+            let streams = [
+                Stream::read(0, 0, 2 * run, run, 1),
+                Stream::read(0, run, 2 * run, run, 1),
+                column_out,
+            ];
             return gpu.launch2(
                 &format!("mergesort row→column combine (chunk {})", level.chunk),
                 out_cols,
+                &streams,
                 src,
                 dst,
                 move |id, ctx, s, d| {
                     let a0 = 2 * id * run;
-                    let b0 = a0 + run;
-                    let (mut i, mut j) = (0usize, 0usize);
-                    let mut compares = 0u64;
-                    for k in 0..level.chunk {
-                        let take_a = if i < run && j < run {
-                            compares += 1;
-                            s[a0 + i] <= s[b0 + j]
-                        } else {
-                            i < run
-                        };
-                        let v = if take_a {
-                            let v = s[a0 + i];
-                            i += 1;
-                            v
-                        } else {
-                            let v = s[b0 + j];
-                            j += 1;
-                            v
-                        };
-                        d[k * out_cols + id] = v;
-                    }
-                    ctx.charge_ops(compares);
-                    ctx.read(0, a0, run, 1);
-                    ctx.read(0, b0, run, 1);
-                    ctx.write(1, id, level.chunk, out_cols);
+                    ctx.charge_ops(merge_strided(s, (a0, a0 + run, 1), run, d, (id, out_cols)));
                 },
             );
         }
         // Coalesced path: `src` holds 2·tasks column-major runs of length
         // chunk/2; work-item i merges columns i and i+tasks into column i
-        // of the tasks-column layout in `dst`.
+        // of the tasks-column layout in `dst`. Every base advances by 1
+        // per item: all three streams coalesce.
+        let streams = [
+            Stream::read(0, 0, 1, run, in_cols),
+            Stream::read(0, out_cols, 1, run, in_cols),
+            column_out,
+        ];
         gpu.launch2(
             &format!("mergesort coalesced combine (chunk {})", level.chunk),
             out_cols,
+            &streams,
             src,
             dst,
             move |id, ctx, s, d| {
-                let (mut i, mut j) = (0usize, 0usize);
-                let mut compares = 0u64;
-                for k in 0..level.chunk {
-                    let take_a = if i < run && j < run {
-                        compares += 1;
-                        s[i * in_cols + id] <= s[j * in_cols + id + out_cols]
-                    } else {
-                        i < run
-                    };
-                    let v = if take_a {
-                        let v = s[i * in_cols + id];
-                        i += 1;
-                        v
-                    } else {
-                        let v = s[j * in_cols + id + out_cols];
-                        j += 1;
-                        v
-                    };
-                    d[k * out_cols + id] = v;
-                }
-                ctx.charge_ops(compares);
-                // Columns i, i+out_cols read; column i written — all with
-                // inter-item base stride 1: coalesced.
-                ctx.read(0, id, run, in_cols);
-                ctx.read(0, id + out_cols, run, in_cols);
-                ctx.write(1, id, level.chunk, out_cols);
+                let cols = (id, id + out_cols, in_cols);
+                ctx.charge_ops(merge_strided(s, cols, run, d, (id, out_cols)));
             },
         )
     }
@@ -307,14 +313,14 @@ impl<T: SortKey> BfAlgorithm<T> for MergeSort {
         let st = gpu.launch2(
             "mergesort un-permute",
             cols,
+            &[Stream::write(1, 0, chunk, chunk, 1)],
             cur,
             other,
             move |id, ctx, s, d| {
                 for j in 0..chunk {
                     d[id * chunk + j] = s[j * cols + id];
                 }
-                ctx.scatter_read(0, chunk);
-                ctx.write(1, id * chunk, chunk, 1);
+                ctx.scatter(chunk as u64);
             },
         )?;
         Ok(Some(st))
@@ -368,6 +374,13 @@ pub fn gpu_parallel_mergesort<T: SortKey>(
     while run < n {
         let pair = 2 * run;
         let counter = std::cell::Cell::new(0u64);
+        // Cost model: the binary-search probes mostly hit the top of the
+        // sibling run, which neighbouring work-items probe too — the
+        // device cache serves them, so they are charged as compute
+        // (`probes` comparisons). What hits memory per element: the
+        // coalesced read of the element itself, roughly one deep probe,
+        // and the data-dependent (scattered) write.
+        let own = [Stream::read(0, 0, 1, 1, 1)];
         let kernel = |id: usize, ctx: &mut hpu_machine::GpuCtx, s: &mut [T], d: &mut [T]| {
             let block = id / pair; // which pair of runs
             let off = id % pair; // position within the pair
@@ -399,21 +412,15 @@ pub fn gpu_parallel_mergesort<T: SortKey>(
             }
             d[block * pair + local + lo] = v;
             counter.set(counter.get() + probes);
-            // Cost model: the binary-search probes mostly hit the top of
-            // the sibling run, which neighbouring work-items probe too —
-            // the device cache serves them, so they are charged as compute
-            // (`probes` comparisons). What hits memory per element: the
-            // coalesced read of the element itself, roughly one deep probe,
-            // and the data-dependent (scattered) write.
             ctx.charge_ops(probes + 2);
-            ctx.read(0, id, 1, 1); // own element: coalesced
-            ctx.scatter_read(0, 1); // deepest probe misses cache
-            ctx.scatter_write(1, 1); // data-dependent output position
+            // The deepest probe and the output position.
+            ctx.scatter(2);
         };
         let res = if in_a {
             hpu.gpu.launch2(
                 &format!("parallel merge (run {run})"),
                 n,
+                &own,
                 &mut buf_a,
                 &mut buf_b,
                 kernel,
@@ -422,6 +429,7 @@ pub fn gpu_parallel_mergesort<T: SortKey>(
             hpu.gpu.launch2(
                 &format!("parallel merge (run {run})"),
                 n,
+                &own,
                 &mut buf_b,
                 &mut buf_a,
                 kernel,
@@ -563,6 +571,109 @@ mod tests {
             let got_compares = merge_into(a, b, &mut got);
             assert_eq!(got, want, "a = {a:?}, b = {b:?}");
             assert_eq!(got_compares, want_compares, "a = {a:?}, b = {b:?}");
+        }
+    }
+
+    /// The §6.3 kernels' column-major merges against [`slotwise_merge`]:
+    /// the coalesced combine merges column pairs `(i, i + tasks)`, the
+    /// row→column combine after a leaf cutoff merges row-major run pairs
+    /// `(2i, 2i + 1)`; both write column `i` of a `tasks`-column layout.
+    #[test]
+    fn column_merges_match_the_slotwise_merge() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |m: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u32 % m
+        };
+        for kind in ["random", "ties", "skewed", "presorted"] {
+            for run in [1usize, 2, 4, 16] {
+                for tasks in [1usize, 3, 8, 9, 20] {
+                    for row_major in [false, true] {
+                        if row_major && run == 1 {
+                            continue; // a cutoff of 1 is no cutoff
+                        }
+                        let pair = |i: usize| {
+                            if row_major {
+                                (2 * i, 2 * i + 1)
+                            } else {
+                                (i, i + tasks)
+                            }
+                        };
+                        let mut runs = vec![Vec::new(); 2 * tasks];
+                        for i in 0..tasks {
+                            let (a, b) = pair(i);
+                            for (side, r) in [(0, a), (1, b)] {
+                                let mut keys: Vec<u32> = (0..run)
+                                    .map(|k| match kind {
+                                        "random" => next(u32::MAX),
+                                        "ties" => next(3),
+                                        // One run of each pair wholly below
+                                        // the other, alternating sides.
+                                        "skewed" => next(100) + [0, 1000][(side + i) % 2],
+                                        _ => (r * run + k) as u32,
+                                    })
+                                    .collect();
+                                keys.sort_unstable();
+                                runs[r] = keys;
+                            }
+                        }
+                        let n = 2 * run * tasks;
+                        let mut src = vec![0u32; n];
+                        for (r, keys) in runs.iter().enumerate() {
+                            for (k, &v) in keys.iter().enumerate() {
+                                src[if row_major {
+                                    r * run + k
+                                } else {
+                                    k * 2 * tasks + r
+                                }] = v;
+                            }
+                        }
+                        let mut want = vec![0u32; n];
+                        let mut want_compares = 0;
+                        for i in 0..tasks {
+                            let (a, b) = pair(i);
+                            let mut merged = vec![0u32; 2 * run];
+                            want_compares += slotwise_merge(&runs[a], &runs[b], &mut merged);
+                            for (k, v) in merged.into_iter().enumerate() {
+                                want[k * tasks + i] = v;
+                            }
+                        }
+                        let algo = if row_major {
+                            MergeSort::new().with_leaf_cutoff(run)
+                        } else {
+                            MergeSort::new()
+                        };
+                        let level = LevelInfo {
+                            chunk: 2 * run,
+                            tasks,
+                        };
+                        // Strict mode checks the interleaved column writes
+                        // for overlap; one lane per wave makes the launch
+                        // time a sum over items, so the compares show in it.
+                        for lanes in [8, 1] {
+                            let mut cfg = MachineConfig::tiny().gpu;
+                            cfg.lanes = lanes;
+                            let mut gpu = SimGpu::new(cfg.clone());
+                            let mut s = gpu.alloc::<u32>(n).unwrap();
+                            let mut d = gpu.alloc::<u32>(n).unwrap();
+                            s.debug_fill(&src);
+                            let st = algo.gpu_level(&mut gpu, &mut s, &mut d, &level).unwrap();
+                            let case =
+                                format!("{kind} run {run} tasks {tasks} row-major {row_major}");
+                            assert_eq!(d.debug_view(), &want[..], "{case}");
+                            if lanes == 1 {
+                                // Single-item waves coalesce: 2·run reads and
+                                // 2·run writes per item at unit cost.
+                                let units = (st.time - cfg.launch_overhead) / cfg.gamma_inv;
+                                let got = units as u64 - (tasks * 4 * run) as u64;
+                                assert_eq!(got, want_compares, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 
 use hpu_core::charge::Charge;
 use hpu_core::{BfAlgorithm, LevelInfo};
-use hpu_machine::{DeviceBuffer, LaunchStats, MachineError, SimGpu};
+use hpu_machine::{DeviceBuffer, LaunchStats, MachineError, SimGpu, Stream};
 use hpu_model::Recurrence;
 
 /// Plain sequential reference (paper Algorithm 4).
@@ -63,21 +63,22 @@ impl BfAlgorithm<u64> for DcSum {
     ) -> Result<LaunchStats, MachineError> {
         let b = level.tasks; // numSubProblems after this level
         let chunk = level.chunk;
+        // Partials sit at chunk starts, so the bases advance by `chunk`
+        // per item: declare the true addresses and let the device decide.
+        let streams = [
+            Stream::read(0, 0, chunk, 1, 1),
+            Stream::read(0, chunk / 2, chunk, 1, 1),
+            Stream::write(1, 0, chunk, 1, 1),
+        ];
         gpu.launch2(
             &format!("sum level (b = {b})"),
             b,
+            &streams,
             src,
             dst,
             move |id, ctx, s, d| {
                 d[id * chunk] = s[id * chunk].wrapping_add(s[id * chunk + chunk / 2]);
                 ctx.charge_ops(1);
-                // Prefix-resident partials: bases advance by 1 per item
-                // when chunk == 1... in the chunked layout the stride is
-                // `chunk`, so declare the true addresses and let the
-                // device decide.
-                ctx.read(0, id * chunk, 1, 1);
-                ctx.read(0, id * chunk + chunk / 2, 1, 1);
-                ctx.write(1, id * chunk, 1, 1);
             },
         )
     }

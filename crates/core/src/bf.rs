@@ -73,7 +73,7 @@ pub trait BfAlgorithm<T: Element>: Sync {
         tasks: usize,
     ) -> Result<LaunchStats, MachineError> {
         let base = self.base_chunk();
-        gpu.launch("base cases", tasks, buf, |id, ctx, data| {
+        gpu.launch("base cases", tasks, &[], buf, |id, ctx, data| {
             let lo = id * base;
             self.base_case(&mut data[lo..lo + base], &mut GpuCharge(ctx));
         })
@@ -112,6 +112,7 @@ pub trait BfAlgorithm<T: Element>: Sync {
         gpu.launch2(
             &format!("{} combine (chunk {chunk})", self.name()),
             level.tasks,
+            &[],
             src,
             dst,
             |id, ctx, s, d| {
@@ -212,16 +213,21 @@ mod tests {
 
     #[test]
     fn default_gpu_level_runs_combine() {
-        use hpu_machine::MachineConfig;
+        use hpu_machine::{MachineConfig, Stream};
         let mut gpu = SimGpu::new(MachineConfig::tiny().gpu);
         let algo = SumAlgo;
         let mut src = gpu.alloc::<u64>(8).unwrap();
         let mut dst = gpu.alloc::<u64>(8).unwrap();
         // src holds 4 solved chunks of size 2 with sums in slots 0,2,4,6.
-        gpu.launch("init", 8, &mut src, |id, ctx, d| {
-            d[id] = id as u64;
-            ctx.write(0, id, 1, 1);
-        })
+        gpu.launch(
+            "init",
+            8,
+            &[Stream::write(0, 0, 1, 1, 1)],
+            &mut src,
+            |id, _, d| {
+                d[id] = id as u64;
+            },
+        )
         .unwrap();
         let st = algo
             .gpu_level(

@@ -41,10 +41,11 @@ impl Charge for CpuCtx {
 }
 
 /// Adapts a GPU work-item context into a [`Charge`]: unstructured memory
-/// charges become scattered (never-coalesced) accesses on buffer 0. This is
+/// charges become scattered (never-coalesced) accesses. This is
 /// what the *generic* GPU translation uses — a kernel that knows nothing
 /// about its access pattern cannot coalesce; algorithms that implement an
-/// explicit layout (paper §6.3) bypass this adapter and declare streams.
+/// explicit layout (paper §6.3) bypass this adapter and declare their
+/// launch's streams.
 #[derive(Debug)]
 pub struct GpuCharge<'a>(pub &'a mut GpuCtx);
 
@@ -55,7 +56,7 @@ impl Charge for GpuCharge<'_> {
     }
     #[inline]
     fn mem(&mut self, n: u64) {
-        self.0.scatter_read(0, n as usize);
+        self.0.scatter(n);
     }
 }
 

@@ -7,7 +7,7 @@
 //! roughly as `1/N` until the device saturates; `g` is set to the thread
 //! count after which no further improvement is measured.
 
-use hpu_machine::{MachineConfig, SimGpu};
+use hpu_machine::{MachineConfig, SimGpu, Stream};
 
 /// One probe sample: thread count and the launch's virtual time.
 pub type Sample = (usize, f64);
@@ -33,6 +33,13 @@ fn probe(gpu: &mut SimGpu, len: usize, threads: usize) -> f64 {
         .launch2(
             "g-probe elementwise sum",
             threads,
+            // Item `t` touches every `threads`-th element from `t`; the
+            // last items get one element fewer when `threads ∤ len`.
+            &[
+                Stream::read(0, 0, 1, 0, threads).ragged(),
+                Stream::read(0, len, 1, 0, threads).ragged(),
+                Stream::write(1, 0, 1, 0, threads).ragged(),
+            ],
             &mut input,
             &mut out,
             |t, ctx, a, c| {
@@ -44,9 +51,7 @@ fn probe(gpu: &mut SimGpu, len: usize, threads: usize) -> f64 {
                     count += 1;
                 }
                 ctx.charge_ops(count);
-                ctx.read(0, t, count as usize, threads);
-                ctx.read(0, len + t, count as usize, threads);
-                ctx.write(1, t, count as usize, threads);
+                ctx.set_count(count as usize);
             },
         )
         .expect("probe launch is well-formed");
@@ -71,7 +76,7 @@ pub fn estimate_g(cfg: &MachineConfig, len: usize) -> GSweep {
     // on real hardware implicitly does the same by using large arrays).
     let mut dummy = gpu.alloc::<u64>(1).expect("one element fits");
     let overhead = gpu
-        .launch("overhead probe", 1, &mut dummy, |_, _, _| {})
+        .launch("overhead probe", 1, &[], &mut dummy, |_, _, _| {})
         .expect("empty kernel runs")
         .time;
     gpu.free(dummy);

@@ -5,7 +5,7 @@
 //! `γ⁻¹` and is expected to be roughly constant across input sizes (the
 //! model's "balanced architecture" assumption, §3.2).
 
-use hpu_machine::{MachineConfig, SimCpu, SimGpu};
+use hpu_machine::{MachineConfig, SimCpu, SimGpu, Stream};
 
 /// Result of a `γ` sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,15 +74,14 @@ pub fn probe(cfg: &MachineConfig, size: usize) -> (f64, f64) {
         .launch2(
             "gamma-probe merge (GPU)",
             1,
+            &[
+                Stream::read(0, 0, 0, size / 2, 1),
+                Stream::read(0, size / 2, 0, size / 2, 1),
+                Stream::write(1, 0, 0, size, 1),
+            ],
             &mut buf_src,
             &mut buf_dst,
-            |_, ctx, s, d| {
-                let c = merge(s, d);
-                ctx.charge_ops(c);
-                ctx.read(0, 0, size / 2, 1);
-                ctx.read(0, size / 2, size / 2, 1);
-                ctx.write(1, 0, size, 1);
-            },
+            |_, ctx, s, d| ctx.charge_ops(merge(s, d)),
         )
         .expect("probe launch is well-formed");
     gpu.free(buf_src);

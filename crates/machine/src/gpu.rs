@@ -3,21 +3,40 @@
 //! A [`SimGpu`] owns device-resident [`DeviceBuffer`]s and executes *kernel
 //! launches*: `N` work-items, each receiving its global id, run in waves of
 //! `g` lanes (`⌈N/g⌉` waves per launch), every lane `γ⁻¹` times slower than
-//! a CPU core. Work-items perform real work on the buffer and declare their
-//! cost to a [`GpuCtx`] as scalar operations plus *memory streams*.
+//! a CPU core. Work-items perform real work on the buffer and report their
+//! cost to a [`GpuCtx`] as scalar operations; their memory traffic is
+//! declared once for the whole launch as [`Stream`]s.
 //!
 //! ## Coalescing model
 //!
-//! A memory stream is a strided sequence of element accesses
-//! `base, base+step, base+2·step, …`. Within a wave, stream slot `s` is
-//! **coalesced** when every adjacent pair of work-items declared bases that
-//! differ by exactly 1 — the lanes then access consecutive words at each
-//! step, which the hardware serves in one transaction. Coalesced accesses
-//! cost 1 unit; uncoalesced ones cost
-//! [`crate::GpuConfig::uncoalesced_penalty`]. A single-item wave has no
-//! cross-lane conflicts and counts as coalesced. This makes the paper's
-//! §6.3 permutation optimization directly measurable: the permuted layout
-//! turns the merge's streams from stride-`2m` bases into consecutive bases.
+//! A memory stream is a strided sequence of element accesses. It is
+//! declared once per launch: work-item `i` touches `count` elements at
+//! `base + i·advance`, `+step`, `+2·step`, …. Within a wave, a stream is
+//! **coalesced** when adjacent work-items' bases differ by exactly 1,
+//! i.e. when its per-item `advance` is 1: the lanes then access
+//! consecutive words at each step, which the hardware serves in one
+//! transaction. A single-item wave has no cross-lane conflicts and counts
+//! as coalesced. Coalesced accesses cost 1 unit; uncoalesced ones cost
+//! [`crate::GpuConfig::uncoalesced_penalty`]. This makes the paper's §6.3
+//! permutation optimization directly measurable: the permuted layout turns
+//! the merge's streams from advance-`2m` bases into consecutive bases.
+//!
+//! Two kinds of access are reported per work-item instead:
+//!
+//! - *Scatter* accesses ([`GpuCtx::scatter`]) go to data-dependent
+//!   addresses and never coalesce.
+//! - A [`Stream::ragged`] stream takes its element count from each item
+//!   ([`GpuCtx::set_count`]). An item with count 0 does not use the
+//!   stream, so its wave's streams no longer line up across lanes. Such a
+//!   wave, in which some items use the ragged streams and others do not,
+//!   is served wholly uncoalesced.
+//!
+//! A work-item costs its operations plus `count × unit` summed over its
+//! streams, and a wave costs its dearest item. The fixed-count streams
+//! cost every item of a wave the same amount, so a launch prices them
+//! once per wave shape. With an integer-valued penalty (every shipped
+//! configuration) every cost is an exact integer and the order of the
+//! sums does not matter.
 //!
 //! ## Fidelity caveat
 //!
@@ -81,112 +100,149 @@ impl<T> DeviceBuffer<T> {
     }
 }
 
-/// One declared memory stream of a work-item.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Stream {
+/// A memory stream declared once per launch.
+///
+/// Work-item `i` accesses `count` elements of buffer `buf` (tag `0` or `1`,
+/// see [`SimGpu::launch2`]) at `base + i·advance + k·step` for
+/// `k = 0, 1, …, count−1`. A [`Stream::ragged`] stream takes its count
+/// from each work-item instead ([`GpuCtx::set_count`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stream {
     buf: u8,
     base: usize,
+    advance: usize,
     count: usize,
     step: usize,
     write: bool,
-    scatter: bool,
+    ragged: bool,
 }
 
-/// Cost-accounting context handed to every GPU work-item.
-#[derive(Debug)]
-pub struct GpuCtx {
-    ops: u64,
-    streams: Vec<Stream>,
-    lens: [usize; 2],
-    item: usize,
-    error: Option<MachineError>,
-}
-
-impl GpuCtx {
-    fn new(lens: [usize; 2]) -> Self {
-        GpuCtx {
-            ops: 0,
-            streams: Vec::new(),
-            lens,
-            item: 0,
-            error: None,
+impl Stream {
+    /// A read stream: work-item `i` reads `count` elements of `buf` at
+    /// `base + i·advance`, then every `step` elements.
+    pub const fn read(buf: u8, base: usize, advance: usize, count: usize, step: usize) -> Self {
+        Stream {
+            buf,
+            base,
+            advance,
+            count,
+            step,
+            write: false,
+            ragged: false,
         }
     }
 
-    fn reset(&mut self, item: usize) {
-        self.ops = 0;
-        self.streams.clear();
-        self.item = item;
+    /// A write stream, laid out as in [`Stream::read`].
+    pub const fn write(buf: u8, base: usize, advance: usize, count: usize, step: usize) -> Self {
+        Stream {
+            write: true,
+            ..Stream::read(buf, base, advance, count, step)
+        }
     }
 
+    /// Makes the element count per-item: every work-item reports it with
+    /// [`GpuCtx::set_count`] (0 when it reports none), and the declared
+    /// count is ignored.
+    pub const fn ragged(self) -> Self {
+        Stream {
+            ragged: true,
+            ..self
+        }
+    }
+
+    /// First and last address work-item `id` touches with `count ≥ 1`
+    /// elements (saturating, so an overflow reads as out of bounds).
+    fn span(&self, id: usize, count: usize) -> (usize, usize) {
+        let base = self.base.saturating_add(id.saturating_mul(self.advance));
+        let last = base.saturating_add((count - 1).saturating_mul(self.step));
+        (base, last)
+    }
+
+    /// The first work-item below `n_items` whose accesses leave a buffer
+    /// of `len` elements, or `n_items` if none does. Fixed counts only.
+    fn first_out_of_bounds(&self, len: usize, n_items: usize) -> usize {
+        let (_, last) = self.span(0, self.count);
+        if last >= len {
+            0
+        } else if self.advance == 0 {
+            n_items
+        } else {
+            (len - last).div_ceil(self.advance).min(n_items)
+        }
+    }
+}
+
+/// Cost-accounting context handed to every GPU work-item: its scalar
+/// operations, its data-dependent accesses and the element count of the
+/// launch's ragged streams. Strided accesses are declared per launch as
+/// [`Stream`]s.
+#[derive(Debug, Default)]
+pub struct GpuCtx {
+    ops: u64,
+    scatter: u64,
+    count: usize,
+}
+
+impl GpuCtx {
     /// Charges `n` scalar operations.
     #[inline]
     pub fn charge_ops(&mut self, n: u64) {
         self.ops += n;
     }
 
-    fn record(&mut self, buf: u8, base: usize, count: usize, step: usize, write: bool) {
-        if count == 0 {
-            return;
-        }
-        let len = self.lens[buf as usize];
-        let last = base + (count - 1) * step;
-        if base >= len || last >= len {
-            self.error.get_or_insert(MachineError::OutOfBounds {
-                item: self.item,
-                addr: last.max(base),
-                len,
-            });
-            return;
-        }
-        self.streams.push(Stream {
-            buf,
-            base,
-            count,
-            step,
-            write,
-            scatter: false,
-        });
-    }
-
-    /// Declares a strided read stream on buffer `buf` (0 or 1):
-    /// `count` elements at `base, base+step, …`.
-    #[inline]
-    pub fn read(&mut self, buf: u8, base: usize, count: usize, step: usize) {
-        self.record(buf, base, count, step, false);
-    }
-
-    /// Declares a strided write stream on buffer `buf`.
-    #[inline]
-    pub fn write(&mut self, buf: u8, base: usize, count: usize, step: usize) {
-        self.record(buf, base, count, step, true);
-    }
-
-    /// Declares `count` reads at data-dependent addresses (never coalesced).
-    #[inline]
-    pub fn scatter_read(&mut self, buf: u8, count: usize) {
-        self.streams.push(Stream {
-            buf,
-            base: 0,
-            count,
-            step: 0,
-            write: false,
-            scatter: true,
-        });
-    }
-
-    /// Declares `count` writes at data-dependent addresses (never
+    /// Charges `n` reads or writes at data-dependent addresses (never
     /// coalesced; exempt from the strict overlap check).
     #[inline]
-    pub fn scatter_write(&mut self, buf: u8, count: usize) {
-        self.streams.push(Stream {
-            buf,
-            base: 0,
-            count,
-            step: 0,
-            write: true,
-            scatter: true,
-        });
+    pub fn scatter(&mut self, n: u64) {
+        self.scatter += n;
+    }
+
+    /// Sets this work-item's element count on every ragged stream of the
+    /// launch.
+    #[inline]
+    pub fn set_count(&mut self, n: usize) {
+        self.count = n;
+    }
+}
+
+/// Per-item memory cost of some strided streams, and the accesses among
+/// it served coalesced and uncoalesced.
+#[derive(Debug, Default, Clone, Copy)]
+struct StreamCost {
+    cost: f64,
+    co: u64,
+    un: u64,
+}
+
+/// The memory charge of a launch's streams under one wave shape: `fixed`
+/// per item for the fixed-count streams, `ragged` per element of an
+/// item's ragged count.
+#[derive(Debug, Default, Clone, Copy)]
+struct Rate {
+    fixed: StreamCost,
+    ragged: StreamCost,
+}
+
+impl Rate {
+    /// Sums the streams in declaration order, each served coalesced iff
+    /// `coalesces` says so.
+    fn of(streams: &[Stream], penalty: f64, coalesces: impl Fn(&Stream) -> bool) -> Rate {
+        let mut r = Rate::default();
+        for s in streams {
+            let (c, n) = if s.ragged {
+                (&mut r.ragged, 1)
+            } else {
+                (&mut r.fixed, s.count)
+            };
+            if coalesces(s) {
+                c.cost += n as f64;
+                c.co += n as u64;
+            } else {
+                c.cost += n as f64 * penalty;
+                c.un += n as u64;
+            }
+        }
+        r
     }
 }
 
@@ -311,26 +367,31 @@ impl SimGpu {
     }
 
     /// Launches a kernel over one buffer: `n_items` work-items execute
-    /// `kernel(global_id, ctx, data)` in waves of `g` lanes.
+    /// `kernel(global_id, ctx, data)` in waves of `g` lanes, accessing
+    /// memory as `streams` declare (buffer tag `0`).
     pub fn launch<T>(
         &mut self,
         label: &str,
         n_items: usize,
+        streams: &[Stream],
         buf: &mut DeviceBuffer<T>,
         mut kernel: impl FnMut(usize, &mut GpuCtx, &mut [T]),
     ) -> Result<LaunchStats, MachineError> {
         let lens = [buf.data.len(), 0];
         let data = &mut buf.data;
-        self.launch_impl(label, n_items, lens, |id, ctx| kernel(id, ctx, data))
+        self.launch_impl(label, n_items, streams, lens, |id, ctx| {
+            kernel(id, ctx, data)
+        })
     }
 
     /// Launches a kernel over two buffers (e.g. a permutation with distinct
-    /// source and destination). Buffer tags in [`GpuCtx`] calls: `0` for
-    /// `a`, `1` for `b`.
+    /// source and destination). Buffer tags in [`Stream`]s: `0` for `a`,
+    /// `1` for `b`.
     pub fn launch2<T, U>(
         &mut self,
         label: &str,
         n_items: usize,
+        streams: &[Stream],
         a: &mut DeviceBuffer<T>,
         b: &mut DeviceBuffer<U>,
         mut kernel: impl FnMut(usize, &mut GpuCtx, &mut [T], &mut [U]),
@@ -338,13 +399,16 @@ impl SimGpu {
         let lens = [a.data.len(), b.data.len()];
         let da = &mut a.data;
         let db = &mut b.data;
-        self.launch_impl(label, n_items, lens, |id, ctx| kernel(id, ctx, da, db))
+        self.launch_impl(label, n_items, streams, lens, |id, ctx| {
+            kernel(id, ctx, da, db)
+        })
     }
 
     fn launch_impl(
         &mut self,
         label: &str,
         n_items: usize,
+        streams: &[Stream],
         lens: [usize; 2],
         mut run: impl FnMut(usize, &mut GpuCtx),
     ) -> Result<LaunchStats, MachineError> {
@@ -375,15 +439,27 @@ impl SimGpu {
         }
         let lanes = self.cfg.lanes.max(1);
         let penalty = self.cfg.uncoalesced_penalty;
-        let mut ctx = GpuCtx::new(lens);
+        let ragged = streams.iter().any(|s| s.ragged);
+        // Items from here on may leave a buffer through a fixed stream;
+        // ragged streams are checked on every item.
+        let oob_from = streams
+            .iter()
+            .filter(|s| !s.ragged && s.count > 0)
+            .map(|s| s.first_out_of_bounds(lens[s.buf as usize], n_items))
+            .min()
+            .unwrap_or(n_items);
+        // The three wave shapes: one item (nothing to conflict with), many
+        // items (a slot coalesces iff adjacent bases are 1 apart), and
+        // many items whose ragged counts are zero on some items only
+        // (the slots no longer line up: everything uncoalesced).
+        let single = Rate::of(streams, penalty, |_| true);
+        let multi = Rate::of(streams, penalty, |s| s.advance == 1);
+        let diverged = Rate::of(streams, penalty, |_| false);
 
         let mut time = self.cfg.launch_overhead;
         let mut waves = 0usize;
         let mut coalesced = 0u64;
         let mut uncoalesced = 0u64;
-        // Per-wave scratch: flattened streams plus per-item (ops, range).
-        let mut wave_streams: Vec<Stream> = Vec::new();
-        let mut wave_items: Vec<(u64, usize, usize)> = Vec::new();
         // Strict mode: declared write progressions over the whole launch,
         // as (step, residue, base, last, item).
         let mut write_ranges: Vec<(usize, usize, usize, usize, usize)> = Vec::new();
@@ -391,80 +467,57 @@ impl SimGpu {
         let mut start = 0usize;
         while start < n_items {
             let end = (start + lanes).min(n_items);
-            wave_streams.clear();
-            wave_items.clear();
+            let rate = if end - start == 1 { &single } else { &multi };
+            // Per-item cost excluding the fixed streams, which cost every
+            // item the same: the wave maximum, also under the diverged
+            // rate, and the wave's scatter and ragged element totals.
+            let mut var_max = 0.0_f64;
+            let mut var_max_diverged = 0.0_f64;
+            let (mut scatter, mut elems) = (0u64, 0u64);
+            let (mut any_empty, mut any_full) = (false, false);
             for id in start..end {
-                ctx.reset(id);
+                let mut ctx = GpuCtx::default();
                 run(id, &mut ctx);
-                if let Some(e) = ctx.error.take() {
-                    return Err(e);
+                if id >= oob_from || ragged {
+                    check_bounds(streams, lens, id, ctx.count)?;
                 }
-                let s0 = wave_streams.len();
-                wave_streams.extend_from_slice(&ctx.streams);
-                wave_items.push((ctx.ops, s0, wave_streams.len()));
                 if self.cfg.strict {
-                    for s in &ctx.streams {
-                        if s.write && !s.scatter {
-                            let step = s.step.max(1);
+                    for s in streams.iter().filter(|s| s.write) {
+                        let count = if s.ragged { ctx.count } else { s.count };
+                        if count > 0 {
                             // Key by (step, residue class): two arithmetic
                             // progressions with the same step intersect iff
                             // they share a residue and their spans overlap.
                             // Progressions of different shapes are skipped
                             // (best-effort detection, no false positives on
                             // interleaved column writes).
-                            let hi = s.base + (s.count - 1) * step;
-                            write_ranges.push((step, s.base % step, s.base, hi, id));
+                            let step = s.step.max(1);
+                            let (base, _) = s.span(id, 1);
+                            let hi = base + (count - 1) * step;
+                            write_ranges.push((step, base % step, base, hi, id));
                         }
                     }
                 }
+                let var = ctx.ops as f64 + ctx.scatter as f64 * penalty;
+                let n = ctx.count as f64;
+                var_max = var_max.max(var + n * rate.ragged.cost);
+                var_max_diverged = var_max_diverged.max(var + n * diverged.ragged.cost);
+                scatter += ctx.scatter;
+                elems += ctx.count as u64;
+                any_empty |= ctx.count == 0;
+                any_full |= ctx.count > 0;
             }
-
-            // Resolve coalescing per stream slot across the wave.
-            let wave_len = wave_items.len();
-            let slots = wave_items[0].2 - wave_items[0].1;
-            let uniform = wave_items.iter().all(|&(_, s, e)| e - s == slots);
-            let mut slot_coalesced = vec![true; slots];
-            if uniform && wave_len > 1 {
-                for s in 0..slots {
-                    let mut ok = true;
-                    for w in 1..wave_len {
-                        let prev = &wave_streams[wave_items[w - 1].1 + s];
-                        let cur = &wave_streams[wave_items[w].1 + s];
-                        if prev.scatter
-                            || cur.scatter
-                            || cur.buf != prev.buf
-                            || cur.base != prev.base + 1
-                        {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    slot_coalesced[s] = ok;
-                }
-            } else if !uniform {
-                // Divergent stream shapes: conservatively uncoalesced.
-                slot_coalesced.clear();
-            }
-
-            // Per-item cost and wave duration.
-            let mut wave_max = 0.0_f64;
-            for &(ops, s0, s1) in &wave_items {
-                let mut mem_cost = 0.0;
-                for (k, s) in wave_streams[s0..s1].iter().enumerate() {
-                    let co = !s.scatter
-                        && (wave_len == 1
-                            || (uniform && slot_coalesced.get(k).copied().unwrap_or(false)));
-                    let unit = if co { 1.0 } else { penalty };
-                    mem_cost += s.count as f64 * unit;
-                    if co {
-                        coalesced += s.count as u64;
-                    } else {
-                        uncoalesced += s.count as u64;
-                    }
-                }
-                wave_max = wave_max.max(ops as f64 + mem_cost);
-            }
-            time += wave_max * self.cfg.gamma_inv;
+            let (rate, var_max) = if ragged && any_empty && any_full {
+                (&diverged, var_max_diverged)
+            } else {
+                (rate, var_max)
+            };
+            // Rounding is monotone, so adding the items' common fixed cost
+            // after the maximum gives the same bits as adding it per item.
+            time += (var_max + rate.fixed.cost) * self.cfg.gamma_inv;
+            let items = (end - start) as u64;
+            coalesced += items * rate.fixed.co + elems * rate.ragged.co;
+            uncoalesced += items * rate.fixed.un + elems * rate.ragged.un + scatter;
             waves += 1;
             start = end;
         }
@@ -525,6 +578,32 @@ impl SimGpu {
     }
 }
 
+/// Fails with the first stream, in declaration order, that takes
+/// work-item `id` (with ragged count `count`) outside its buffer.
+fn check_bounds(
+    streams: &[Stream],
+    lens: [usize; 2],
+    id: usize,
+    count: usize,
+) -> Result<(), MachineError> {
+    for s in streams {
+        let count = if s.ragged { count } else { s.count };
+        if count == 0 {
+            continue;
+        }
+        let len = lens[s.buf as usize];
+        let (_, last) = s.span(id, count);
+        if last >= len {
+            return Err(MachineError::OutOfBounds {
+                item: id,
+                addr: last,
+                len,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,7 +634,7 @@ mod tests {
     fn empty_launch_rejected() {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(8).unwrap();
-        let err = g.launch("k", 0, &mut buf, |_, _, _| {}).unwrap_err();
+        let err = g.launch("k", 0, &[], &mut buf, |_, _, _| {}).unwrap_err();
         assert_eq!(err, MachineError::EmptyLaunch);
     }
 
@@ -564,11 +643,16 @@ mod tests {
         let mut g = gpu(); // 8 lanes
         let mut buf = g.alloc::<u32>(64).unwrap();
         let st = g
-            .launch("k", 20, &mut buf, |id, ctx, data| {
-                data[id] = id as u32;
-                ctx.charge_ops(1);
-                ctx.write(0, id, 1, 1);
-            })
+            .launch(
+                "k",
+                20,
+                &[Stream::write(0, 0, 1, 1, 1)],
+                &mut buf,
+                |id, ctx, data| {
+                    data[id] = id as u32;
+                    ctx.charge_ops(1);
+                },
+            )
             .unwrap();
         assert_eq!(st.waves, 3); // ceil(20/8)
         assert_eq!(st.items, 20);
@@ -578,11 +662,16 @@ mod tests {
     fn kernel_actually_computes() {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(16).unwrap();
-        g.launch("fill", 16, &mut buf, |id, ctx, data| {
-            data[id] = (id * id) as u32;
-            ctx.charge_ops(1);
-            ctx.write(0, id, 1, 1);
-        })
+        g.launch(
+            "fill",
+            16,
+            &[Stream::write(0, 0, 1, 1, 1)],
+            &mut buf,
+            |id, ctx, data| {
+                data[id] = (id * id) as u32;
+                ctx.charge_ops(1);
+            },
+        )
         .unwrap();
         assert_eq!(buf.debug_view()[5], 25);
     }
@@ -593,15 +682,23 @@ mod tests {
         let mut buf = g.alloc::<u32>(64).unwrap();
         // Consecutive bases across the 8 lanes: coalesced.
         let st_co = g
-            .launch("co", 8, &mut buf, |id, ctx, _| {
-                ctx.read(0, id, 4, 8);
-            })
+            .launch(
+                "co",
+                8,
+                &[Stream::read(0, 0, 1, 4, 8)],
+                &mut buf,
+                |_, _, _| {},
+            )
             .unwrap();
         // Bases 8 apart: uncoalesced.
         let st_un = g
-            .launch("un", 8, &mut buf, |id, ctx, _| {
-                ctx.read(0, id * 8, 4, 1);
-            })
+            .launch(
+                "un",
+                8,
+                &[Stream::read(0, 0, 8, 4, 1)],
+                &mut buf,
+                |_, _, _| {},
+            )
             .unwrap();
         assert_eq!(st_co.coalesced, 32);
         assert_eq!(st_co.uncoalesced, 0);
@@ -617,10 +714,15 @@ mod tests {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(64).unwrap();
         let st = g
-            .launch("solo", 1, &mut buf, |_, ctx, _| {
-                ctx.read(0, 17, 4, 3);
-                ctx.charge_ops(2);
-            })
+            .launch(
+                "solo",
+                1,
+                &[Stream::read(0, 17, 0, 4, 3)],
+                &mut buf,
+                |_, ctx, _| {
+                    ctx.charge_ops(2);
+                },
+            )
             .unwrap();
         assert_eq!(st.coalesced, 4);
         assert_eq!(st.time, (2.0 + 4.0) * 4.0);
@@ -631,7 +733,7 @@ mod tests {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(64).unwrap();
         let st = g
-            .launch("sc", 1, &mut buf, |_, ctx, _| ctx.scatter_read(0, 10))
+            .launch("sc", 1, &[], &mut buf, |_, ctx, _| ctx.scatter(10))
             .unwrap();
         assert_eq!(st.uncoalesced, 10);
     }
@@ -641,7 +743,7 @@ mod tests {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(64).unwrap();
         let st = g
-            .launch("k", 8, &mut buf, |id, ctx, _| {
+            .launch("k", 8, &[], &mut buf, |id, ctx, _| {
                 ctx.charge_ops(if id == 3 { 100 } else { 1 });
             })
             .unwrap();
@@ -653,7 +755,13 @@ mod tests {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(8).unwrap();
         let err = g
-            .launch("oob", 1, &mut buf, |_, ctx, _| ctx.read(0, 4, 8, 1))
+            .launch(
+                "oob",
+                1,
+                &[Stream::read(0, 4, 0, 8, 1)],
+                &mut buf,
+                |_, _, _| {},
+            )
             .unwrap_err();
         assert!(matches!(err, MachineError::OutOfBounds { len: 8, .. }));
     }
@@ -663,11 +771,14 @@ mod tests {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(64).unwrap();
         let err = g
-            .launch("racy", 4, &mut buf, |id, ctx, _| {
-                // Every item writes [0..4): a race.
-                ctx.write(0, 0, 4, 1);
-                let _ = id;
-            })
+            // Every item writes [0..4): a race.
+            .launch(
+                "racy",
+                4,
+                &[Stream::write(0, 0, 0, 4, 1)],
+                &mut buf,
+                |_, _, _| {},
+            )
             .unwrap_err();
         assert!(matches!(err, MachineError::WriteOverlap { .. }));
     }
@@ -677,12 +788,17 @@ mod tests {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(64).unwrap();
         assert!(g
-            .launch("ok", 4, &mut buf, |id, ctx, data| {
-                for k in 0..4 {
-                    data[id * 4 + k] = 1;
+            .launch(
+                "ok",
+                4,
+                &[Stream::write(0, 0, 4, 4, 1)],
+                &mut buf,
+                |id, _, data| {
+                    for k in 0..4 {
+                        data[id * 4 + k] = 1;
+                    }
                 }
-                ctx.write(0, id * 4, 4, 1);
-            })
+            )
             .is_ok());
     }
 
@@ -692,16 +808,27 @@ mod tests {
         let mut a = g.alloc::<u32>(16).unwrap();
         let mut b = g.alloc::<u32>(16).unwrap();
         // Copy a -> b reversed.
-        g.launch("init", 16, &mut a, |id, ctx, d| {
-            d[id] = id as u32;
-            ctx.write(0, id, 1, 1);
-        })
+        g.launch(
+            "init",
+            16,
+            &[Stream::write(0, 0, 1, 1, 1)],
+            &mut a,
+            |id, _, d| {
+                d[id] = id as u32;
+            },
+        )
         .unwrap();
-        g.launch2("rev", 16, &mut a, &mut b, |id, ctx, a, b| {
-            b[15 - id] = a[id];
-            ctx.read(0, id, 1, 1);
-            ctx.scatter_write(1, 1);
-        })
+        g.launch2(
+            "rev",
+            16,
+            &[Stream::read(0, 0, 1, 1, 1)],
+            &mut a,
+            &mut b,
+            |id, ctx, a, b| {
+                b[15 - id] = a[id];
+                ctx.scatter(1);
+            },
+        )
         .unwrap();
         assert_eq!(b.debug_view()[0], 15);
         assert_eq!(b.debug_view()[15], 0);
@@ -713,9 +840,14 @@ mod tests {
         let mut a = g.alloc::<u32>(16).unwrap();
         let mut b = g.alloc::<u32>(4).unwrap();
         let err = g
-            .launch2("oob", 1, &mut a, &mut b, |_, ctx, _, _| {
-                ctx.write(1, 0, 8, 1);
-            })
+            .launch2(
+                "oob",
+                1,
+                &[Stream::write(1, 0, 0, 8, 1)],
+                &mut a,
+                &mut b,
+                |_, _, _, _| {},
+            )
             .unwrap_err();
         assert!(matches!(err, MachineError::OutOfBounds { len: 4, .. }));
     }
@@ -735,7 +867,7 @@ mod tests {
         let mut buf = g.alloc::<u32>(1024).unwrap();
         let total = 1024u64;
         let t = |g: &mut SimGpu, buf: &mut DeviceBuffer<u32>, n: usize| {
-            g.launch("sum", n, buf, |_, ctx, _| {
+            g.launch("sum", n, &[], buf, |_, ctx, _| {
                 ctx.charge_ops(total / n as u64);
             })
             .unwrap()
@@ -755,13 +887,242 @@ mod tests {
     fn clock_and_stats_accumulate() {
         let mut g = gpu();
         let mut buf = g.alloc::<u32>(64).unwrap();
-        g.launch("a", 8, &mut buf, |_, ctx, _| ctx.charge_ops(10))
+        g.launch("a", 8, &[], &mut buf, |_, ctx, _| ctx.charge_ops(10))
             .unwrap();
-        g.launch("b", 16, &mut buf, |_, ctx, _| ctx.charge_ops(10))
+        g.launch("b", 16, &[], &mut buf, |_, ctx, _| ctx.charge_ops(10))
             .unwrap();
         assert_eq!(g.stats().launches, 2);
         assert_eq!(g.stats().items, 24);
         assert_eq!(g.stats().waves, 3);
         assert_eq!(g.clock(), 40.0 + 80.0);
+    }
+
+    /// The per-item rule that per-launch declarations replaced, kept as
+    /// the reference: every work-item lists its own streams, and each wave
+    /// resolves coalescing slot by slot across its items.
+    mod per_item {
+        use crate::config::GpuConfig;
+        use crate::error::MachineError;
+
+        /// One stream call of a work-item, in call order.
+        #[derive(Debug, Clone, Copy)]
+        pub enum Call {
+            Strided {
+                buf: u8,
+                base: usize,
+                count: usize,
+                step: usize,
+                write: bool,
+            },
+            Scatter {
+                count: usize,
+            },
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        struct Listed {
+            buf: u8,
+            base: usize,
+            count: usize,
+            scatter: bool,
+        }
+
+        /// `(time, waves, coalesced, uncoalesced)` of a launch whose item
+        /// `id` charges `items(id).0` operations and makes the calls
+        /// `items(id).1`.
+        pub fn launch(
+            cfg: &GpuConfig,
+            n_items: usize,
+            lens: [usize; 2],
+            items: impl Fn(usize) -> (u64, Vec<Call>),
+        ) -> Result<(f64, usize, u64, u64), MachineError> {
+            let lanes = cfg.lanes.max(1);
+            let penalty = cfg.uncoalesced_penalty;
+            let mut time = cfg.launch_overhead;
+            let (mut waves, mut coalesced, mut uncoalesced) = (0usize, 0u64, 0u64);
+            let mut write_ranges = Vec::new();
+            let mut start = 0usize;
+            while start < n_items {
+                let end = (start + lanes).min(n_items);
+                let mut wave: Vec<(u64, Vec<Listed>)> = Vec::new();
+                for id in start..end {
+                    let (ops, calls) = items(id);
+                    let mut listed = Vec::new();
+                    for call in calls {
+                        match call {
+                            Call::Strided { count: 0, .. } => {}
+                            Call::Strided {
+                                buf,
+                                base,
+                                count,
+                                step,
+                                write,
+                            } => {
+                                let len = lens[buf as usize];
+                                let last = base + (count - 1) * step;
+                                if base >= len || last >= len {
+                                    return Err(MachineError::OutOfBounds {
+                                        item: id,
+                                        addr: last.max(base),
+                                        len,
+                                    });
+                                }
+                                if write && cfg.strict {
+                                    let step = step.max(1);
+                                    let hi = base + (count - 1) * step;
+                                    write_ranges.push((step, base % step, base, hi, id));
+                                }
+                                listed.push(Listed {
+                                    buf,
+                                    base,
+                                    count,
+                                    scatter: false,
+                                });
+                            }
+                            Call::Scatter { count } => listed.push(Listed {
+                                buf: 0,
+                                base: 0,
+                                count,
+                                scatter: true,
+                            }),
+                        }
+                    }
+                    wave.push((ops, listed));
+                }
+                let slots = wave[0].1.len();
+                let uniform = wave.iter().all(|(_, l)| l.len() == slots);
+                let slot_coalesced: Vec<bool> = (0..slots)
+                    .map(|k| {
+                        uniform
+                            && wave.windows(2).all(|w| {
+                                let (prev, cur) = (w[0].1[k], w[1].1[k]);
+                                !prev.scatter
+                                    && !cur.scatter
+                                    && cur.buf == prev.buf
+                                    && cur.base == prev.base + 1
+                            })
+                    })
+                    .collect();
+                let mut wave_max = 0.0_f64;
+                for (ops, listed) in &wave {
+                    let mut mem = 0.0;
+                    for (k, l) in listed.iter().enumerate() {
+                        let co =
+                            !l.scatter && (wave.len() == 1 || slot_coalesced.get(k) == Some(&true));
+                        mem += l.count as f64 * if co { 1.0 } else { penalty };
+                        *(if co { &mut coalesced } else { &mut uncoalesced }) += l.count as u64;
+                    }
+                    wave_max = wave_max.max(*ops as f64 + mem);
+                }
+                time += wave_max * cfg.gamma_inv;
+                waves += 1;
+                start = end;
+            }
+            write_ranges.sort_unstable();
+            for w in write_ranges.windows(2) {
+                let (step_a, res_a, _, hi_a, ia) = w[0];
+                let (step_b, res_b, lo_b, _, ib) = w[1];
+                if step_a == step_b && res_a == res_b && ia != ib && lo_b <= hi_a {
+                    return Err(MachineError::WriteOverlap { a: ia, b: ib });
+                }
+            }
+            Ok((time, waves, coalesced, uncoalesced))
+        }
+    }
+
+    #[test]
+    fn declared_streams_charge_like_the_per_item_rule() {
+        use per_item::Call;
+        let mut draws = 0u64;
+        let mut rand = |m: usize| {
+            draws += 1;
+            (crate::fault::mix(0x5EED_0000 + draws) % m as u64) as usize
+        };
+        let mut seen = [0usize; 8];
+        for case in 0..4000 {
+            let mut cfg = MachineConfig::tiny().gpu;
+            cfg.lanes = 1 + rand(8);
+            cfg.uncoalesced_penalty = (1 + rand(5)) as f64;
+            cfg.strict = rand(2) == 0;
+            let n_items = 1 + rand(30);
+            let lens = [rand(160), rand(160)];
+            let streams: Vec<Stream> = (0..rand(5))
+                .map(|_| {
+                    let (buf, base) = (rand(2) as u8, rand(40));
+                    let advance = [0, 1, 2 + rand(5)][rand(3)];
+                    let (count, step) = (rand(6), rand(4));
+                    let s = if rand(2) == 0 {
+                        Stream::read(buf, base, advance, count, step)
+                    } else {
+                        Stream::write(buf, base, advance, count, step)
+                    };
+                    if rand(4) == 0 {
+                        s.ragged()
+                    } else {
+                        s
+                    }
+                })
+                .collect();
+            // Per item: ops, ragged count, and the counts of up to two
+            // scatter calls made after the first `scatter_at` streams.
+            let scatter_calls = rand(3);
+            let scatter_at = rand(streams.len() + 1);
+            let items: Vec<(u64, usize, [usize; 2])> = (0..n_items)
+                .map(|_| (rand(40) as u64, rand(5), [rand(4), rand(4)]))
+                .collect();
+            let calls = |id: usize| {
+                let (ops, count, scatter) = items[id];
+                let mut calls: Vec<Call> = streams
+                    .iter()
+                    .map(|s| Call::Strided {
+                        buf: s.buf,
+                        base: s.base + id * s.advance,
+                        count: if s.ragged { count } else { s.count },
+                        step: s.step,
+                        write: s.write,
+                    })
+                    .collect();
+                for &c in &scatter[..scatter_calls] {
+                    calls.insert(scatter_at, Call::Scatter { count: c });
+                }
+                (ops, calls)
+            };
+            let want = per_item::launch(&cfg, n_items, lens, calls);
+
+            let mut g = SimGpu::new(cfg.clone());
+            let mut a = g.alloc::<u32>(lens[0]).unwrap();
+            let mut b = g.alloc::<u32>(lens[1]).unwrap();
+            let got = g
+                .launch2("eq", n_items, &streams, &mut a, &mut b, |id, ctx, _, _| {
+                    let (ops, count, scatter) = items[id];
+                    ctx.charge_ops(ops);
+                    ctx.set_count(count);
+                    for &c in &scatter[..scatter_calls] {
+                        ctx.scatter(c as u64);
+                    }
+                })
+                .map(|st| (st.time, st.waves, st.coalesced, st.uncoalesced));
+            match (&want, &got) {
+                (Ok(w), Ok(g)) => {
+                    assert_eq!(w.0.to_bits(), g.0.to_bits(), "case {case}: {w:?} vs {g:?}");
+                    assert_eq!((w.1, w.2, w.3), (g.1, g.2, g.3), "case {case}");
+                }
+                _ => assert_eq!(want, got, "case {case}"),
+            }
+
+            // Coverage of the shapes the rule distinguishes.
+            let ragged = streams.iter().any(|s| s.ragged);
+            seen[0] += usize::from(n_items % cfg.lanes != 0 && n_items > cfg.lanes);
+            seen[1] += usize::from(n_items % cfg.lanes == 1);
+            for adv in [0, 1, 2] {
+                seen[2 + adv] += usize::from(streams.iter().any(|s| s.advance.min(2) == adv));
+            }
+            seen[5] += usize::from(scatter_calls > 0 && want.is_ok());
+            seen[6] += usize::from(
+                ragged && want.is_ok() && items.iter().any(|i| i.1 == 0) && n_items > cfg.lanes,
+            );
+            seen[7] += usize::from(matches!(want, Err(MachineError::OutOfBounds { .. })));
+        }
+        assert!(seen.iter().all(|&n| n >= 50), "coverage {seen:?}");
     }
 }

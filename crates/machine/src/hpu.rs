@@ -286,7 +286,7 @@ mod tests {
         h.cpu.run_serial("cpu work", |ctx| ctx.charge_ops(100));
         let mut buf = h.gpu.alloc::<u32>(8).unwrap();
         h.gpu
-            .launch("gpu work", 8, &mut buf, |_, ctx, _| ctx.charge_ops(10))
+            .launch("gpu work", 8, &[], &mut buf, |_, ctx, _| ctx.charge_ops(10))
             .unwrap();
         assert_eq!(h.cpu.clock(), 100.0);
         assert_eq!(h.gpu.clock(), 40.0);
@@ -332,7 +332,7 @@ mod tests {
         let mut buf = h.upload(&[0u32; 8]).unwrap();
         h.cpu.run_serial("c", |ctx| ctx.charge_ops(1));
         h.gpu
-            .launch("g", 8, &mut buf, |_, ctx, _| ctx.charge_ops(1))
+            .launch("g", 8, &[], &mut buf, |_, ctx, _| ctx.charge_ops(1))
             .unwrap();
         let tl = h.timeline();
         let units: Vec<_> = tl.events().iter().map(|e| e.unit).collect();

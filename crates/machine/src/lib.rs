@@ -15,8 +15,9 @@
 //! * [`gpu::SimGpu`] — an OpenCL-style device: a kernel launch of `N`
 //!   work-items runs in waves of `g` lanes, each lane `1/γ` times slower
 //!   than a CPU core; a per-wave **coalescing detector** charges less for
-//!   memory streams whose addresses are consecutive across adjacent
-//!   work-items (which makes the paper's §6.3 optimization measurable).
+//!   memory streams (declared once per launch) whose addresses are
+//!   consecutive across adjacent work-items (which makes the paper's §6.3
+//!   optimization measurable).
 //! * [`bus::Bus`] — the CPU↔GPU link: moving `w` words costs `λ + δ·w` and
 //!   every transfer is counted (the schedules' "only two transfers" claims
 //!   are testable).
@@ -55,7 +56,7 @@ pub use config::{BusConfig, CpuConfig, GpuConfig, MachineConfig};
 pub use cpu::{CpuCtx, LevelRun, SimCpu};
 pub use error::MachineError;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, NodeFault, NodeFaultKind, NodeFaultPlan};
-pub use gpu::{DeviceBuffer, GpuCtx, LaunchStats, SimGpu};
+pub use gpu::{DeviceBuffer, GpuCtx, LaunchStats, SimGpu, Stream};
 pub use hpu::SimHpu;
 pub use hpu_obs::{EventKind, LevelPhase};
 pub use timeline::{Timeline, TimelineEvent, Unit};

@@ -63,7 +63,7 @@ fn advanced_on_undersized_device_releases_buffers() {
 #[test]
 fn lying_kernel_is_caught_by_bounds_validation() {
     use hpu_core::{BfAlgorithm, Charge, LevelInfo};
-    use hpu_machine::{DeviceBuffer, LaunchStats, SimGpu};
+    use hpu_machine::{DeviceBuffer, LaunchStats, SimGpu, Stream};
     use hpu_model::Recurrence;
 
     /// An algorithm whose GPU kernel declares an out-of-bounds stream.
@@ -89,9 +89,9 @@ fn lying_kernel_is_caught_by_bounds_validation() {
             level: &LevelInfo,
         ) -> Result<LaunchStats, MachineError> {
             let len = src.len();
-            gpu.launch2("liar", level.tasks, src, dst, move |_, ctx, _, _| {
-                ctx.read(0, len, 4, 1); // past the end
-            })
+            // Past the end.
+            let streams = [Stream::read(0, len, 0, 4, 1)];
+            gpu.launch2("liar", level.tasks, &streams, src, dst, |_, _, _, _| {})
         }
     }
 
@@ -107,7 +107,7 @@ fn lying_kernel_is_caught_by_bounds_validation() {
 #[test]
 fn racy_kernel_is_caught_in_strict_mode() {
     use hpu_core::{BfAlgorithm, Charge, LevelInfo};
-    use hpu_machine::{DeviceBuffer, LaunchStats, SimGpu};
+    use hpu_machine::{DeviceBuffer, LaunchStats, SimGpu, Stream};
     use hpu_model::Recurrence;
 
     /// An algorithm whose GPU work-items all write the same location.
@@ -132,9 +132,9 @@ fn racy_kernel_is_caught_in_strict_mode() {
             dst: &mut DeviceBuffer<u32>,
             level: &LevelInfo,
         ) -> Result<LaunchStats, MachineError> {
-            gpu.launch2("racy", level.tasks, src, dst, |_, ctx, _, d| {
+            let streams = [Stream::write(1, 0, 0, 1, 1)];
+            gpu.launch2("racy", level.tasks, &streams, src, dst, |_, _, _, d| {
                 d[0] = 1;
-                ctx.write(1, 0, 1, 1);
             })
         }
     }
