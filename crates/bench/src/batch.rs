@@ -32,12 +32,8 @@ use crate::workload::{uniform_input, SplitMix64};
 /// rejects instead of queueing forever, so the saturation point shows.
 const BATCH_QUEUE: usize = 16;
 
-/// Coalescing bound of the "batch" rows (and the perf metrics).
+/// Coalescing bound of the "batch" rows.
 const MAX_BATCH: usize = 4;
-
-/// A policy still counts as keeping up at a rate when at least this
-/// fraction of submissions completes.
-const SATURATION_GOODPUT: f64 = 0.95;
 
 /// The shape-heavy mix: GPU-only mergesorts, three out of four jobs at
 /// `2^10` and the fourth at `2^11`, so most queue neighbours share a
@@ -94,17 +90,6 @@ pub(crate) fn batch_point(jobs: usize, rate: f64, seed: u64, batch: BatchPolicy)
 fn completion_ratio(out: &ServeOutput) -> f64 {
     let submitted = out.report.jobs.len().max(1);
     out.report.completed as f64 / submitted as f64
-}
-
-/// The saturation point of a policy over the rate sweep: the highest
-/// rate whose completion ratio still clears [`SATURATION_GOODPUT`]
-/// (0 when even the lowest rate overruns the queue).
-pub(crate) fn saturation_rate(jobs: usize, rates: &[f64], seed: u64, batch: BatchPolicy) -> f64 {
-    rates
-        .iter()
-        .copied()
-        .filter(|&r| completion_ratio(&batch_point(jobs, r, seed, batch)) >= SATURATION_GOODPUT)
-        .fold(0.0, f64::max)
 }
 
 fn sim_row(mode: &str, rate: f64, out: &ServeOutput) -> Vec<String> {
@@ -199,41 +184,27 @@ pub fn batch_curve(jobs: usize, rates: &[f64], native: bool, seed: u64) -> Csv {
     }
 }
 
-/// The pinned rate sweep the perf metrics (and the gate test) run over.
-pub(crate) const PERF_RATES: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0];
-
-/// The two batching perf metrics off the pinned sweep:
-///
-/// - `batch_saturation_lift` — the coalescing saturation rate over the
-///   unbatched one (> 1 means batching keeps up at rates that overrun
-///   the unbatched queue);
-/// - `batch_amortized_launches` — merged launch slots amortized away at
-///   the top pinned rate: `Σ over batches of (members − 1) · segments`.
-///
-/// The matrix is virtual-time and deterministic per seed, so quick and
-/// full runs share one pinned size — a larger fleet only re-rolls the
-/// burst pattern, it does not steady any wall-clock number.
-pub fn batch_perf_metrics(seed: u64) -> (f64, f64) {
-    let jobs = 24;
-    let coalesce = BatchPolicy::Coalesce {
-        max_batch: MAX_BATCH,
-    };
-    let off_sat = saturation_rate(jobs, PERF_RATES, seed, BatchPolicy::Off);
-    let on_sat = saturation_rate(jobs, PERF_RATES, seed, coalesce);
-    let lift = on_sat / off_sat.max(1e-9);
-    let top = *PERF_RATES.last().expect("pinned rates are non-empty");
-    let out = batch_point(jobs, top, seed, coalesce);
-    let amortized: usize = out
-        .batches
-        .iter()
-        .map(|b| (b.members.len() - 1) * b.windows.len())
-        .sum();
-    (lift, amortized as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A policy still counts as keeping up at a rate when at least this
+    /// fraction of submissions completes.
+    const SATURATION_GOODPUT: f64 = 0.95;
+
+    /// The pinned rate sweep the saturation gate runs over.
+    const SWEEP_RATES: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0];
+
+    /// The saturation point of a policy over the rate sweep: the highest
+    /// rate whose completion ratio still clears [`SATURATION_GOODPUT`]
+    /// (0 when even the lowest rate overruns the queue).
+    fn saturation_rate(jobs: usize, rates: &[f64], seed: u64, batch: BatchPolicy) -> f64 {
+        rates
+            .iter()
+            .copied()
+            .filter(|&r| completion_ratio(&batch_point(jobs, r, seed, batch)) >= SATURATION_GOODPUT)
+            .fold(0.0, f64::max)
+    }
 
     /// ISSUE acceptance: on the simulated backend the batching curve
     /// saturates at a strictly higher offered load than the unbatched
@@ -241,10 +212,10 @@ mod tests {
     #[test]
     fn batching_lifts_the_saturation_point() {
         let (jobs, seed) = (24, 42);
-        let off = saturation_rate(jobs, PERF_RATES, seed, BatchPolicy::Off);
+        let off = saturation_rate(jobs, SWEEP_RATES, seed, BatchPolicy::Off);
         let on = saturation_rate(
             jobs,
-            PERF_RATES,
+            SWEEP_RATES,
             seed,
             BatchPolicy::Coalesce {
                 max_batch: MAX_BATCH,
@@ -293,14 +264,5 @@ mod tests {
         assert!(a.rows[2..].iter().all(|r| r[0] == "batch"));
         // Unbatched rows never report batches.
         assert!(a.rows[..2].iter().all(|r| r[8] == "0"));
-    }
-
-    #[test]
-    fn perf_metrics_are_positive_and_deterministic() {
-        let (lift_a, amortized_a) = batch_perf_metrics(42);
-        let (lift_b, amortized_b) = batch_perf_metrics(42);
-        assert_eq!((lift_a, amortized_a), (lift_b, amortized_b));
-        assert!(lift_a > 1.0, "saturation lift {lift_a} must exceed 1");
-        assert!(amortized_a > 0.0, "overload must amortize some launches");
     }
 }

@@ -13,9 +13,6 @@
 //! repro batch [--jobs N] [--rates R,R,...] [--native] [--seed S]
 //!             [--out DIR]
 //! repro recover [--jobs N] [--rates P,P,...] [--seed S] [--out DIR]
-//! repro perf [--label L] [--quick] [--seed S] [--seq N] [--out DIR]
-//! repro perf --compare OLD NEW [--threshold T] [--smoke]
-//! repro perf --compare-newest DIR NEW [--threshold T] [--smoke]
 //!
 //! EXPERIMENT: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!             ablation-coalescing ablation-schedule extension-workloads
@@ -75,19 +72,9 @@
 //!             fixed seed the rows are byte-identical across runs (CSV
 //!             lands in DIR/recover.csv with --out); defaults: 16 jobs,
 //!             rates 0,0.15,0.3,0.6, seed 42
-//! perf        run the pinned perf matrix (admission latency, native
-//!             throughput, interpret-vs-direct overhead, plan-compile
-//!             time, serve goodput, fleet scaling) and write a
-//!             schema-versioned BENCH_<label>.json snapshot with
-//!             trajectory position --seq to --out (default `.`); with
-//!             --compare, diff two snapshots instead and exit 1 when any
-//!             metric moved in its bad direction by more than --threshold
-//!             (relative, default 0.15) — --smoke only checks schema and
-//!             metric presence, for noisy CI runners; --compare-newest
-//!             picks the baseline automatically: the highest-seq
-//!             BENCH_*.json under DIR
 //!
-//! Every mode accepts --help; unknown flags exit with status 2.
+//! Every mode accepts --help; unknown flags and malformed values exit
+//! with status 2.
 //! ```
 
 use std::io::Write;
@@ -224,6 +211,86 @@ fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Prints `msg` and the mode's `usage` to stderr and exits 2.
+fn reject(msg: &str, usage: &str) -> ! {
+    eprintln!("{msg}\n{usage}");
+    std::process::exit(2);
+}
+
+/// The comma-separated values of `flag` (`default` when the flag is
+/// absent), each parsed as `T`. A malformed or empty value rejects the
+/// command line. Scalar flags take the one-element form via [`flag_one`].
+fn flag_list<T: std::str::FromStr>(
+    rest: &[String],
+    flag: &str,
+    default: &str,
+    usage: &str,
+) -> Vec<T> {
+    let raw = flag_value(rest, flag).unwrap_or(default);
+    raw.split(',')
+        .map(|v| {
+            v.trim()
+                .parse()
+                .unwrap_or_else(|_| reject(&format!("malformed {flag} value: {raw:?}"), usage))
+        })
+        .collect()
+}
+
+/// The single value of `flag`, parsed like [`flag_list`].
+fn flag_one<T: std::str::FromStr>(rest: &[String], flag: &str, default: &str, usage: &str) -> T {
+    let mut values = flag_list(rest, flag, default, usage);
+    if values.len() != 1 {
+        reject(&format!("{flag} takes one value"), usage);
+    }
+    values.remove(0)
+}
+
+/// `--rates` as offered loads: each must be finite and positive.
+fn offered_rates(rest: &[String], default: &str, usage: &str) -> Vec<f64> {
+    let rates: Vec<f64> = flag_list(rest, "--rates", default, usage);
+    if rates.iter().any(|r| !(r.is_finite() && *r > 0.0)) {
+        reject(
+            "--rates are offered loads and must be finite and > 0",
+            usage,
+        );
+    }
+    rates
+}
+
+/// `--rates` as `what` probabilities: each must lie in [0, 1].
+fn probability_rates(rest: &[String], default: &str, what: &str, usage: &str) -> Vec<f64> {
+    let rates: Vec<f64> = flag_list(rest, "--rates", default, usage);
+    if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
+        reject(
+            &format!("--rates are {what} probabilities and must lie in [0, 1]"),
+            usage,
+        );
+    }
+    rates
+}
+
+/// `--backend sim|native|both` (default both).
+fn backend(rest: &[String], usage: &str) -> hpu_bench::ServeBackend {
+    match flag_value(rest, "--backend").unwrap_or("both") {
+        "sim" => hpu_bench::ServeBackend::Sim,
+        "native" => hpu_bench::ServeBackend::Native,
+        "both" => hpu_bench::ServeBackend::Both,
+        other => reject(
+            &format!("unknown --backend: {other} (expected sim, native or both)"),
+            usage,
+        ),
+    }
+}
+
+/// Prints `csv` and, with `--out DIR`, also writes it to `DIR/<name>.csv`.
+fn emit(rest: &[String], csv: &Csv, name: &str) {
+    print!("{}", csv.render());
+    if let Some(dir) = flag_value(rest, "--out") {
+        std::fs::create_dir_all(dir).expect("create --out directory");
+        std::fs::write(format!("{dir}/{name}.csv"), csv.render()).expect("write CSV file");
+    }
+}
+
 /// Validates a subcommand's argument list against its flag table:
 /// `flags` maps each accepted flag to the number of values it consumes.
 /// `--help`/`-h` print `usage` and exit 0; anything not in the table
@@ -239,15 +306,11 @@ fn validate_flags(rest: &[String], flags: &[(&str, usize)], usage: &str) {
         match flags.iter().find(|(f, _)| *f == a) {
             Some((flag, arity)) => {
                 if i + arity >= rest.len() {
-                    eprintln!("{flag} expects {arity} value(s)\n{usage}");
-                    std::process::exit(2);
+                    reject(&format!("{flag} expects {arity} value(s)"), usage);
                 }
                 i += 1 + arity;
             }
-            None => {
-                eprintln!("unknown argument: {a}\n{usage}");
-                std::process::exit(2);
-            }
+            None => reject(&format!("unknown argument: {a}"), usage),
         }
     }
 }
@@ -292,25 +355,16 @@ node crashes at each crash rate, once per checkpoint policy (off,
 everylevel), and prints one CSV row per (policy, rate): goodput, MTTR,
 jobs recovered vs restarted, and the completed levels the checkpoints
 saved from re-execution. Defaults: 16 jobs, rates 0,0.15,0.3,0.6, seed 42.";
-const PERF_USAGE: &str = "usage: repro perf [--label L] [--quick] [--seed S] [--seq N] [--out DIR]
-       repro perf --compare OLD NEW [--threshold T] [--smoke]
-       repro perf --compare-newest DIR NEW [--threshold T] [--smoke]
-
-Runs the pinned perf matrix and writes BENCH_<label>.json (label defaults
-to `dev`, --out to `.`, --seq stamps the snapshot's position on the
-committed trajectory), or diffs two snapshots and exits 1 when any
-metric regressed past --threshold (relative, default 0.15). --smoke only
-checks schema and metric presence. --compare-newest diffs NEW against
-the highest-seq BENCH_*.json snapshot under DIR.";
 const TOP_USAGE: &str = "usage: repro [EXPERIMENT ...] [--full] [--out DIR] [--trace DIR]
        repro plan EXPERIMENT [...] [--passes] [--full] [--out DIR]
-       repro plan|serve|chaos|calibrate|fleet|batch|recover|perf [--help]
+       repro plan|serve|chaos|calibrate|fleet|batch|recover [--help]
 
 EXPERIMENT: table1 table2 fig3..fig10 ablation-coalescing
             ablation-schedule extension-workloads all (default: all)";
 
 /// `repro serve [--jobs N] [--rates R,..] [--backend B] [--seed S] [--out DIR]`.
 fn serve_mode(rest: &[String]) {
+    let u = SERVE_USAGE;
     validate_flags(
         rest,
         &[
@@ -320,42 +374,22 @@ fn serve_mode(rest: &[String]) {
             ("--seed", 1),
             ("--out", 1),
         ],
-        SERVE_USAGE,
+        u,
     );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(32);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("0.5,2")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    let backend = match flag_value(rest, "--backend").unwrap_or("both") {
-        "sim" => hpu_bench::ServeBackend::Sim,
-        "native" => hpu_bench::ServeBackend::Native,
-        "both" => hpu_bench::ServeBackend::Both,
-        other => {
-            eprintln!("unknown --backend: {other} (expected sim, native or both)");
-            std::process::exit(2);
-        }
-    };
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::serve_fleet(jobs, &rates, backend, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/serve.csv"), csv.render()).expect("write serve CSV");
-    }
+    let jobs = flag_one(rest, "--jobs", "32", u);
+    let rates = offered_rates(rest, "0.5,2", u);
+    let backend = backend(rest, u);
+    let seed = flag_one(rest, "--seed", "42", u);
+    emit(
+        rest,
+        &hpu_bench::serve_fleet(jobs, &rates, backend, seed),
+        "serve",
+    );
 }
 
 /// `repro chaos [--jobs N] [--rates R,..] [--backend B] [--seed S] [--out DIR]`.
 fn chaos_mode(rest: &[String]) {
+    let u = CHAOS_USAGE;
     validate_flags(
         rest,
         &[
@@ -365,46 +399,22 @@ fn chaos_mode(rest: &[String]) {
             ("--seed", 1),
             ("--out", 1),
         ],
-        CHAOS_USAGE,
+        u,
     );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(16);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("0,0.05,0.2,0.5")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-        eprintln!("--rates are fault probabilities and must lie in [0, 1]");
-        std::process::exit(2);
-    }
-    let backend = match flag_value(rest, "--backend").unwrap_or("both") {
-        "sim" => hpu_bench::ServeBackend::Sim,
-        "native" => hpu_bench::ServeBackend::Native,
-        "both" => hpu_bench::ServeBackend::Both,
-        other => {
-            eprintln!("unknown --backend: {other} (expected sim, native or both)");
-            std::process::exit(2);
-        }
-    };
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::chaos_sweep(jobs, &rates, backend, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/chaos.csv"), csv.render()).expect("write chaos CSV");
-    }
+    let jobs = flag_one(rest, "--jobs", "16", u);
+    let rates = probability_rates(rest, "0,0.05,0.2,0.5", "fault", u);
+    let backend = backend(rest, u);
+    let seed = flag_one(rest, "--seed", "42", u);
+    emit(
+        rest,
+        &hpu_bench::chaos_sweep(jobs, &rates, backend, seed),
+        "chaos",
+    );
 }
 
 /// `repro calibrate [--jobs N] [--gamma-skew K] [--seed S] [--out DIR]`.
 fn calibrate_mode(rest: &[String]) {
+    let u = CALIBRATE_USAGE;
     validate_flags(
         rest,
         &[
@@ -413,31 +423,27 @@ fn calibrate_mode(rest: &[String]) {
             ("--seed", 1),
             ("--out", 1),
         ],
-        CALIBRATE_USAGE,
+        u,
     );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(24);
-    let gamma_skew: f64 = flag_value(rest, "--gamma-skew")
-        .map(|v| v.parse().expect("--gamma-skew takes a number"))
-        .unwrap_or(2.0);
+    let jobs = flag_one(rest, "--jobs", "24", u);
+    let gamma_skew: f64 = flag_one(rest, "--gamma-skew", "2", u);
     if !(gamma_skew.is_finite() && gamma_skew > 0.0) {
-        eprintln!("--gamma-skew must be a positive finite number, got {gamma_skew}");
-        std::process::exit(2);
+        reject(
+            &format!("--gamma-skew must be a positive finite number, got {gamma_skew}"),
+            u,
+        );
     }
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::calibrate_sweep(jobs, gamma_skew, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/calibrate.csv"), csv.render()).expect("write calibrate CSV");
-    }
+    let seed = flag_one(rest, "--seed", "42", u);
+    emit(
+        rest,
+        &hpu_bench::calibrate_sweep(jobs, gamma_skew, seed),
+        "calibrate",
+    );
 }
 
 /// `repro fleet [--jobs N] [--nodes N,..] [--rates R,..] [--seed S] [--out DIR]`.
 fn fleet_mode(rest: &[String]) {
+    let u = FLEET_USAGE;
     validate_flags(
         rest,
         &[
@@ -447,46 +453,25 @@ fn fleet_mode(rest: &[String]) {
             ("--seed", 1),
             ("--out", 1),
         ],
-        FLEET_USAGE,
+        u,
     );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(32);
-    let node_counts: Vec<usize> = flag_value(rest, "--nodes")
-        .unwrap_or("1,2,4")
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .expect("--nodes takes comma-separated integers")
-        })
-        .collect();
+    let jobs = flag_one(rest, "--jobs", "32", u);
+    let node_counts: Vec<usize> = flag_list(rest, "--nodes", "1,2,4", u);
     if node_counts.contains(&0) {
-        eprintln!("--nodes counts must be at least 1");
-        std::process::exit(2);
+        reject("--nodes counts must be at least 1", u);
     }
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("1,6,96")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::fleet_scaling(jobs, &node_counts, &rates, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/fleet.csv"), csv.render()).expect("write fleet CSV");
-    }
+    let rates = offered_rates(rest, "1,6,96", u);
+    let seed = flag_one(rest, "--seed", "42", u);
+    emit(
+        rest,
+        &hpu_bench::fleet_scaling(jobs, &node_counts, &rates, seed),
+        "fleet",
+    );
 }
 
 /// `repro batch [--jobs N] [--rates R,..] [--native] [--seed S] [--out DIR]`.
 fn batch_mode(rest: &[String]) {
+    let u = BATCH_USAGE;
     validate_flags(
         rest,
         &[
@@ -496,189 +481,51 @@ fn batch_mode(rest: &[String]) {
             ("--seed", 1),
             ("--out", 1),
         ],
-        BATCH_USAGE,
+        u,
     );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(24);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("1,2,3,4,6,8")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
+    let jobs = flag_one(rest, "--jobs", "24", u);
+    let rates = offered_rates(rest, "1,2,3,4,6,8", u);
     let native = rest.iter().any(|a| a == "--native");
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::batch_curve(jobs, &rates, native, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/batch.csv"), csv.render()).expect("write batch CSV");
-    }
+    let seed = flag_one(rest, "--seed", "42", u);
+    emit(
+        rest,
+        &hpu_bench::batch_curve(jobs, &rates, native, seed),
+        "batch",
+    );
 }
 
 /// `repro recover [--jobs N] [--rates P,..] [--seed S] [--out DIR]`.
 fn recover_mode(rest: &[String]) {
+    let u = RECOVER_USAGE;
     validate_flags(
         rest,
         &[("--jobs", 1), ("--rates", 1), ("--seed", 1), ("--out", 1)],
-        RECOVER_USAGE,
+        u,
     );
-    let jobs: usize = flag_value(rest, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes an integer"))
-        .unwrap_or(16);
-    let rates: Vec<f64> = flag_value(rest, "--rates")
-        .unwrap_or("0,0.15,0.3,0.6")
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .expect("--rates takes comma-separated numbers")
-        })
-        .collect();
-    if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-        eprintln!("--rates are crash probabilities and must lie in [0, 1]");
-        std::process::exit(2);
-    }
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let csv = hpu_bench::recover_sweep(jobs, &rates, seed);
-    print!("{}", csv.render());
-    if let Some(dir) = flag_value(rest, "--out") {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(format!("{dir}/recover.csv"), csv.render()).expect("write recover CSV");
-    }
-}
-
-/// Reads and parses one snapshot file, exiting 2 on failure.
-fn read_snapshot(path: &str) -> hpu_bench::PerfSnapshot {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    hpu_bench::PerfSnapshot::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Diffs `new` against `old`, prints the delta table, and exits 1 when
-/// any metric regressed (or the schemas refuse to diff).
-fn diff_snapshots(old: &hpu_bench::PerfSnapshot, new: &hpu_bench::PerfSnapshot, rest: &[String]) {
-    let threshold: f64 = flag_value(rest, "--threshold")
-        .map(|v| v.parse().expect("--threshold takes a number"))
-        .unwrap_or(0.15);
-    let smoke = rest.iter().any(|a| a == "--smoke");
-    match hpu_bench::compare(old, new, threshold, smoke) {
-        Ok(deltas) => {
-            print!("{}", hpu_bench::render_deltas(&deltas));
-            let regressed = deltas.iter().filter(|d| d.regressed).count();
-            if regressed > 0 {
-                eprintln!("{regressed} metric(s) regressed past threshold {threshold}");
-                std::process::exit(1);
-            }
-            println!("no regressions ({} metric(s) compared)", deltas.len());
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `repro perf [--label L] [--quick] [--seed S] [--seq N] [--out DIR]`,
-/// `repro perf --compare OLD NEW [--threshold T] [--smoke]` or
-/// `repro perf --compare-newest DIR NEW [--threshold T] [--smoke]`.
-fn perf_mode(rest: &[String]) {
-    validate_flags(
+    let jobs = flag_one(rest, "--jobs", "16", u);
+    let rates = probability_rates(rest, "0,0.15,0.3,0.6", "crash", u);
+    let seed = flag_one(rest, "--seed", "42", u);
+    emit(
         rest,
-        &[
-            ("--label", 1),
-            ("--quick", 0),
-            ("--seed", 1),
-            ("--seq", 1),
-            ("--out", 1),
-            ("--compare", 2),
-            ("--compare-newest", 2),
-            ("--threshold", 1),
-            ("--smoke", 0),
-        ],
-        PERF_USAGE,
+        &hpu_bench::recover_sweep(jobs, &rates, seed),
+        "recover",
     );
-    if let Some(i) = rest.iter().position(|a| a == "--compare") {
-        let old = read_snapshot(&rest[i + 1]);
-        let new = read_snapshot(&rest[i + 2]);
-        diff_snapshots(&old, &new, rest);
-        return;
-    }
-    if let Some(i) = rest.iter().position(|a| a == "--compare-newest") {
-        let dir = std::path::Path::new(&rest[i + 1]);
-        let (base_path, old) = hpu_bench::newest_snapshot(dir).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        eprintln!("baseline: {} (seq {})", base_path.display(), old.seq);
-        let new = read_snapshot(&rest[i + 2]);
-        diff_snapshots(&old, &new, rest);
-        return;
-    }
-    let label = flag_value(rest, "--label").unwrap_or("dev");
-    let quick = rest.iter().any(|a| a == "--quick");
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let seq: u64 = flag_value(rest, "--seq")
-        .map(|v| v.parse().expect("--seq takes an integer"))
-        .unwrap_or(0);
-    let out_dir = flag_value(rest, "--out").unwrap_or(".");
-    let mut snap = hpu_bench::collect_perf(label, quick, seed);
-    snap.seq = seq;
-    let json = snap.to_json();
-    println!("{json}");
-    std::fs::create_dir_all(out_dir).expect("create --out directory");
-    let path = format!("{out_dir}/BENCH_{label}.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH snapshot");
-    eprintln!("wrote {path}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("plan") {
-        plan_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        serve_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("calibrate") {
-        calibrate_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        chaos_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        fleet_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("batch") {
-        batch_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("recover") {
-        recover_mode(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("perf") {
-        perf_mode(&args[1..]);
+    let mode: Option<fn(&[String])> = match args.first().map(String::as_str) {
+        Some("plan") => Some(plan_mode),
+        Some("serve") => Some(serve_mode),
+        Some("calibrate") => Some(calibrate_mode),
+        Some("chaos") => Some(chaos_mode),
+        Some("fleet") => Some(fleet_mode),
+        Some("batch") => Some(batch_mode),
+        Some("recover") => Some(recover_mode),
+        _ => None,
+    };
+    if let Some(mode) = mode {
+        mode(&args[1..]);
         return;
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {

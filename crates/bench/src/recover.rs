@@ -75,21 +75,6 @@ pub(crate) fn recover_stream(jobs: usize) -> Vec<FleetJobRequest> {
         .collect()
 }
 
-/// Smallest seed at or above `seed` whose fault plan crashes exactly
-/// one of the 4 nodes at `rate` — the pinned single-crash scenario,
-/// found by replaying the same subset-stable draws the fleet will.
-pub(crate) fn one_crash_seed(seed: u64, rate: f64) -> u64 {
-    (seed..seed + 10_000)
-        .find(|&s| {
-            let plan = NodeFaultPlan::new(s).with_crash_rate(rate);
-            (0..NODES as u64)
-                .filter(|&i| plan.fault_for(i).is_some())
-                .count()
-                == 1
-        })
-        .expect("some seed crashes exactly one node")
-}
-
 /// One sweep point: the pinned stream on the pinned fleet under
 /// `(policy, crash_rate)`.
 pub(crate) fn recover_point(
@@ -165,6 +150,21 @@ pub fn recover_sweep(jobs: usize, crash_rates: &[f64], seed: u64) -> Csv {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Smallest seed at or above `seed` whose fault plan crashes exactly
+    /// one of the 4 nodes at `rate` — the pinned single-crash scenario,
+    /// found by replaying the same subset-stable draws the fleet will.
+    fn one_crash_seed(seed: u64, rate: f64) -> u64 {
+        (seed..seed + 10_000)
+            .find(|&s| {
+                let plan = NodeFaultPlan::new(s).with_crash_rate(rate);
+                (0..NODES as u64)
+                    .filter(|&i| plan.fault_for(i).is_some())
+                    .count()
+                    == 1
+            })
+            .expect("some seed crashes exactly one node")
+    }
 
     /// ISSUE acceptance: at a crash rate that kills one node mid-run,
     /// `EveryLevel` checkpointing completes strictly more level-work

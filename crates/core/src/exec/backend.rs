@@ -1,13 +1,14 @@
 //! The generic plan interpreter and the backend abstraction it drives.
 //!
-//! [`interpret`] walks a compiled [`Plan`] segment by segment and issues
-//! backend operations: level bands, transfer edges and synchronization
-//! barriers. All work-division strategies — sequential, CPU-parallel,
-//! GPU-only, basic crossover, advanced `(α, y)` split — execute through
-//! this one driver; what differs is only the plan. A [`Backend`] supplies
-//! the substrate: the simulated HPU ([`super::SimBackend`]) or the native
-//! thread pool ([`super::NativeBackend`]), and future real-device backends
-//! slot in the same way.
+//! [`interpret_recover`] walks a compiled [`Plan`] segment by segment and
+//! issues backend operations: level bands, transfer edges and
+//! synchronization barriers. All work-division strategies — sequential,
+//! CPU-parallel, GPU-only, basic crossover, advanced `(α, y)` split —
+//! execute through this one driver; what differs is only the plan. A
+//! [`Backend`] supplies the substrate: the simulated HPU
+//! ([`super::SimBackend`]) or the native thread pool
+//! ([`super::NativeBackend`]), and future real-device backends slot in the
+//! same way.
 
 use hpu_model::{Direction, Placement, Plan, Segment, Transfer};
 use hpu_obs::{EventKind, LevelBook, MetricsRegistry};
@@ -131,30 +132,6 @@ pub struct InterpretStats {
     pub concurrent: Option<(f64, f64)>,
 }
 
-/// Runs a compiled `plan` for `algo` on `backend`.
-///
-/// Segments execute bottom-up in plan order. For each segment the
-/// interpreter issues the segment's upload edges, the level band (both
-/// shares of a split, device side first — the shares overlap on the
-/// simulator's independent virtual timelines), the download edges, and a
-/// closing sync for segments that touched the device.
-pub fn interpret<T: Element, A: BfAlgorithm<T>, B: Backend<T, A>>(
-    plan: &Plan,
-    algo: &A,
-    backend: &mut B,
-) -> Result<InterpretStats, CoreError> {
-    let mut stats = InterpretStats::default();
-    for (idx, seg) in plan.segments.iter().enumerate() {
-        let r = run_segment(plan, idx, seg, algo, backend, &mut stats);
-        if r.is_err() {
-            backend.recorder().set_segment(None);
-            return r.map(|_| stats);
-        }
-    }
-    backend.recorder().set_segment(None);
-    Ok(stats)
-}
-
 /// Retry/backoff parameters for [`interpret_recover`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
@@ -185,6 +162,14 @@ impl RecoveryPolicy {
     }
 }
 
+/// The policy of a run without recovery: the first error surfaces.
+pub(crate) const NO_RETRIES: RecoveryPolicy = RecoveryPolicy {
+    max_retries: 0,
+    backoff_base: 0.0,
+    backoff_factor: 1.0,
+    max_backoff: 0.0,
+};
+
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
@@ -207,7 +192,14 @@ pub struct RecoveryStats {
     pub backoff_time: f64,
 }
 
-/// Runs a compiled `plan` like [`interpret`], retrying faulted segments.
+/// Runs a compiled `plan` for `algo` on `backend`, retrying faulted
+/// segments under `policy`.
+///
+/// Segments execute bottom-up in plan order. For each segment the
+/// interpreter issues the segment's upload edges, the level band (both
+/// shares of a split, device side first — the shares overlap on the
+/// simulator's independent virtual timelines), the download edges, and a
+/// closing sync for segments that touched the device.
 ///
 /// A segment that fails with a *transient* machine fault (a dropped kernel
 /// launch or a bus error) is retried whole after an exponential backoff —

@@ -3,8 +3,8 @@
 //!
 //! [`run_sim`] is the single entry point: it validates the input, compiles
 //! the [`Strategy`] to an execution [`Plan`] (deriving model parameters
-//! where asked to) and hands the plan to the generic [`interpret`] driver
-//! over the simulated-machine backend. Every strategy — sequential,
+//! where asked to) and hands the plan to the generic [`interpret_recover`]
+//! driver over the simulated-machine backend. Every strategy — sequential,
 //! CPU-parallel, GPU-only, basic crossover, advanced split — runs through
 //! this one interpret path; the returned [`RunReport`] carries
 //! virtual-time, communication and per-level accounting plus a
@@ -16,11 +16,13 @@ mod native;
 mod sim;
 
 pub use backend::{
-    interpret, interpret_recover, Backend, BandStats, InterpretStats, LevelBand, RecoveryPolicy,
+    interpret_recover, Backend, BandStats, InterpretStats, LevelBand, RecoveryPolicy,
     RecoveryStats, Share,
 };
 pub use native::{run_native, run_native_report, NativeBackend, NativeReport};
 pub use sim::SimBackend;
+
+use backend::NO_RETRIES;
 
 use hpu_machine::{SimHpu, SimMachineParams};
 use hpu_model::{compile, predict_levels, LevelProfile, MachineParams, ModelError, ScheduleSpec};
@@ -205,7 +207,7 @@ pub fn run_sim_plan<T: Element, A: BfAlgorithm<T>>(
     hpu: &mut SimHpu,
     plan: &hpu_model::Plan,
 ) -> Result<RunReport, CoreError> {
-    run_sim_plan_inner(algo, data, hpu, plan, None, None).0
+    run_sim_plan_inner(algo, data, hpu, plan, &NO_RETRIES, None).0
 }
 
 /// Runs an already-compiled `plan` like [`run_sim_plan`], sampling
@@ -218,7 +220,7 @@ pub fn run_sim_plan_metered<T: Element, A: BfAlgorithm<T>>(
     plan: &hpu_model::Plan,
     metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
 ) -> Result<RunReport, CoreError> {
-    run_sim_plan_inner(algo, data, hpu, plan, None, metrics).0
+    run_sim_plan_inner(algo, data, hpu, plan, &NO_RETRIES, metrics).0
 }
 
 /// Runs an already-compiled `plan` like [`run_sim_plan`], retrying faulted
@@ -232,7 +234,7 @@ pub fn run_sim_plan_recover<T: Element, A: BfAlgorithm<T>>(
     plan: &hpu_model::Plan,
     policy: &RecoveryPolicy,
 ) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    run_sim_plan_inner(algo, data, hpu, plan, Some(policy), None)
+    run_sim_plan_inner(algo, data, hpu, plan, policy, None)
 }
 
 /// [`run_sim_plan_recover`] with an optional live metrics registry, for
@@ -245,7 +247,7 @@ pub fn run_sim_plan_recover_metered<T: Element, A: BfAlgorithm<T>>(
     policy: &RecoveryPolicy,
     metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
 ) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    run_sim_plan_inner(algo, data, hpu, plan, Some(policy), metrics)
+    run_sim_plan_inner(algo, data, hpu, plan, policy, metrics)
 }
 
 /// Resumes an already-compiled `plan` from `ckpt` on a (possibly
@@ -286,7 +288,7 @@ pub fn run_sim_plan_resume<T: Element, A: BfAlgorithm<T>>(
         t,
         hpu_obs::EventKind::Resume { level: ckpt.level },
     );
-    run_sim_plan_inner(algo, data, hpu, &suffix, None, None).0
+    run_sim_plan_inner(algo, data, hpu, &suffix, &NO_RETRIES, None).0
 }
 
 /// Replays the checkpointed prefix (base cases plus combine levels below
@@ -331,13 +333,12 @@ fn run_sim_plan_inner<T: Element, A: BfAlgorithm<T>>(
     data: &mut [T],
     hpu: &mut SimHpu,
     plan: &hpu_model::Plan,
-    policy: Option<&RecoveryPolicy>,
+    policy: &RecoveryPolicy,
     metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
 ) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    let mut rstats = RecoveryStats::default();
     let levels = match num_levels(algo, data.len()) {
         Ok(l) => l,
-        Err(e) => return (Err(e), rstats),
+        Err(e) => return (Err(e), RecoveryStats::default()),
     };
     let n = data.len();
     if plan.segments.is_empty() {
@@ -345,7 +346,7 @@ fn run_sim_plan_inner<T: Element, A: BfAlgorithm<T>>(
             Err(CoreError::MalformedPlan {
                 reason: "plan has no segments",
             }),
-            rstats,
+            RecoveryStats::default(),
         );
     }
     if plan.n != n as u64 || plan.exec_levels != levels {
@@ -353,7 +354,7 @@ fn run_sim_plan_inner<T: Element, A: BfAlgorithm<T>>(
             Err(CoreError::MalformedPlan {
                 reason: "plan was compiled for a different input",
             }),
-            rstats,
+            RecoveryStats::default(),
         );
     }
     hpu.sync();
@@ -371,14 +372,7 @@ fn run_sim_plan_inner<T: Element, A: BfAlgorithm<T>>(
     if let Some(m) = metrics {
         backend = backend.with_metrics(m);
     }
-    let run = match policy {
-        Some(p) => {
-            let (r, rs) = interpret_recover(plan, algo, &mut backend, p);
-            rstats = rs;
-            r
-        }
-        None => interpret(plan, algo, &mut backend),
-    };
+    let (run, rstats) = interpret_recover(plan, algo, &mut backend, policy);
     let stats = match run {
         Ok(s) => s,
         Err(e) => {

@@ -3,7 +3,7 @@
 //! This is the executor a downstream user runs on an actual multicore: the
 //! same [`BfAlgorithm`] code, levels fork-joined on a [`LevelPool`],
 //! wall-clock timed. Native runs execute the same way simulated ones do —
-//! a host-only [`Plan`](hpu_model::Plan) fed to [`interpret`] — with
+//! a host-only [`Plan`](hpu_model::Plan) fed to [`interpret_recover`] — with
 //! [`NativeBackend`] as the substrate. The backend times every level
 //! itself: each becomes a structured wall-clock span (µs) and a row of the
 //! same per-level metrics the simulator produces, so native runs appear in
@@ -22,7 +22,7 @@ use hpu_obs::{
 use crate::bf::{num_levels, BfAlgorithm, Element};
 use crate::charge::NullCharge;
 use crate::error::CoreError;
-use crate::exec::backend::{interpret, Backend, BandStats, LevelBand, Share};
+use crate::exec::backend::{interpret_recover, Backend, BandStats, LevelBand, Share, NO_RETRIES};
 use crate::pool::LevelPool;
 
 /// Wall-clock accounting of one native run.
@@ -228,7 +228,7 @@ pub fn run_native_report<T: Element, A: BfAlgorithm<T>>(
     let plan = Plan::host_only(n as u64, levels, pool.threads(), ScheduleSpec::CpuParallel);
     let book = LevelBook::new(algo.base_chunk() as u64, algo.branching() as u64);
     let mut backend = NativeBackend::new(pool.clone(), data, book);
-    interpret(&plan, algo, &mut backend)?;
+    interpret_recover(&plan, algo, &mut backend, &NO_RETRIES).0?;
     let wall = backend.wall();
     let (book, trace) = backend.into_parts();
     Ok(NativeReport {

@@ -44,10 +44,9 @@ pub use bf::{BfAlgorithm, Element, LevelInfo};
 pub use charge::Charge;
 pub use error::CoreError;
 pub use exec::{
-    interpret, interpret_recover, run_native, run_native_report, run_sim, run_sim_plan,
-    run_sim_plan_recover, run_sim_plan_resume, Backend, BandStats, Checkpoint, InterpretStats,
-    LevelBand, NativeBackend, NativeReport, RecoveryPolicy, RecoveryStats, RunReport, Share,
-    SimBackend, Strategy,
+    interpret_recover, run_native, run_native_report, run_sim, run_sim_plan, run_sim_plan_recover,
+    run_sim_plan_resume, Backend, BandStats, Checkpoint, InterpretStats, LevelBand, NativeBackend,
+    NativeReport, RecoveryPolicy, RecoveryStats, RunReport, Share, SimBackend, Strategy,
 };
 pub use pool::LevelPool;
 pub use tree::DivideConquer;

@@ -581,4 +581,58 @@ mod tests {
         let par = PlanKey::new(&ScheduleSpec::CpuParallel, &machine, &rec, 256, 8, 0).unwrap();
         assert_eq!(seq, par);
     }
+
+    /// At high offered load a serving node acquires plans for a handful
+    /// of recurring shapes over and over: 12 mixed mergesort / d&c-sum
+    /// shapes (n = 2^8..2^11, Basic{4} / GpuOnly / CpuParallel) cycled
+    /// 100 times. A warm cache must be hit-dominated, and its p99 lookup
+    /// must beat the p99 of a fresh `compile` + `plan_cost` per job.
+    #[test]
+    fn cached_plan_acquisition_beats_fresh_compiles_at_high_load() {
+        use std::time::Instant;
+
+        let machine = machine();
+        let shapes: Vec<(ScheduleSpec, Recurrence, u64)> = (0..12)
+            .map(|i| {
+                let spec = match i % 3 {
+                    0 => ScheduleSpec::Basic { crossover: Some(4) },
+                    1 => ScheduleSpec::GpuOnly,
+                    _ => ScheduleSpec::CpuParallel,
+                };
+                let rec = if i % 2 == 0 {
+                    Recurrence::mergesort()
+                } else {
+                    Recurrence::dc_sum()
+                };
+                (spec, rec, 1u64 << (8 + i % 4))
+            })
+            .collect();
+        let p99 = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[(v.len() * 99).div_ceil(100) - 1]
+        };
+        let total = shapes.len() * 100;
+        let mut cache = PlanCache::default();
+        let mut cached = Vec::with_capacity(total);
+        let mut fresh = Vec::with_capacity(total);
+        for (spec, rec, n) in shapes.iter().cycle().take(total) {
+            let levels = rec.num_levels(*n);
+            let t0 = Instant::now();
+            cache
+                .lookup_or_compile(spec, &machine, rec, *n, levels, None)
+                .unwrap();
+            cached.push(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            let plan = compile(spec, &machine, rec, *n, levels).unwrap();
+            plan_cost(&LevelProfile::new(&machine, rec, *n), &plan).unwrap();
+            fresh.push(t0.elapsed().as_secs_f64());
+        }
+        let hit_rate = cache.stats().hit_rate();
+        assert!(hit_rate > 0.9, "1200 acquisitions of 12 shapes: {hit_rate}");
+        let (cached, fresh) = (p99(cached), p99(fresh));
+        assert!(
+            cached < fresh,
+            "cached p99 {cached}s must beat fresh-compile p99 {fresh}s"
+        );
+    }
 }

@@ -104,8 +104,11 @@ pub struct FleetReport {
     /// lowest-completion-time oracle on the same submission stream; 0
     /// when the oracle was not computed.
     pub oracle_mean_latency: f64,
-    /// `mean_latency / oracle_mean_latency` — 1.0 is oracle-equal,
-    /// lower bounded by it; 0 when the oracle was not computed.
+    /// `mean_latency / oracle_mean_latency`; 0 when the oracle was not
+    /// computed. 1.0 is oracle-equal, but the ratio is not bounded by it:
+    /// the oracle occupies each node serially for a job's whole cost,
+    /// while the real fleet overlaps jobs on a node's CPU cores and GPU,
+    /// so values well below 1 occur at saturating load.
     pub routing_quality: f64,
     /// Node-probes the router skipped because the node produced no
     /// finite price for the arriving shape (plan-cache compile error,
