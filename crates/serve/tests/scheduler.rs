@@ -690,3 +690,44 @@ fn replan_bumps_generation_instead_of_recompiling_queued_jobs() {
         "the cache must cut replan compiles: {with_cache} (on) vs {without_cache} (off)"
     );
 }
+
+/// An open GPU breaker degrades only specs that want the device: a
+/// `Sequential` job admitted after a device loss runs its own
+/// one-core plan — the same virtual time as a fault-free solo run — and
+/// is not flagged as degraded, exactly as the router's pricing assumes.
+#[test]
+fn open_breaker_leaves_sequential_jobs_sequential() {
+    use hpu_machine::FaultPlan;
+    use hpu_serve::FaultConfig;
+
+    let cfg = MachineConfig::hpu1_sim();
+    assert!(cfg.cpu.cores >= 2, "the defect needs a multi-core machine");
+    let solo = serve_sim(
+        &cfg,
+        &ServeConfig::default(),
+        vec![sort_job("seq", ScheduleSpec::Sequential, 1 << 10, 0.0)],
+    );
+    let solo_vt = solo.runs[0].report.virtual_time;
+
+    let serve = ServeConfig {
+        faults: Some(FaultConfig::new(FaultPlan::new(1).with_device_loss_at(0))),
+        ..Default::default()
+    };
+    let out = serve_sim(
+        &cfg,
+        &serve,
+        vec![
+            sort_job("gpu", ScheduleSpec::GpuOnly, 1 << 10, 0.0),
+            sort_job("seq", ScheduleSpec::Sequential, 1 << 10, 1.0),
+        ],
+    );
+    assert_eq!(
+        out.report.breaker_trips, 1,
+        "the device loss trips the breaker"
+    );
+    let run = out.runs.iter().find(|r| r.id == 1).expect("the job ran");
+    assert_eq!(run.report.virtual_time, solo_vt);
+    let rec = out.report.jobs.iter().find(|r| r.id == 1).unwrap();
+    assert_eq!(rec.outcome, JobOutcome::Completed);
+    assert!(!rec.degraded, "a CPU-only spec is never a degradation");
+}
