@@ -237,19 +237,6 @@ pub fn run_sim_plan_recover<T: Element, A: BfAlgorithm<T>>(
     run_sim_plan_inner(algo, data, hpu, plan, policy, None)
 }
 
-/// [`run_sim_plan_recover`] with an optional live metrics registry, for
-/// callers that want recovery *and* interpreter sampling.
-pub fn run_sim_plan_recover_metered<T: Element, A: BfAlgorithm<T>>(
-    algo: &A,
-    data: &mut [T],
-    hpu: &mut SimHpu,
-    plan: &hpu_model::Plan,
-    policy: &RecoveryPolicy,
-    metrics: Option<std::sync::Arc<hpu_obs::MetricsRegistry>>,
-) -> (Result<RunReport, CoreError>, RecoveryStats) {
-    run_sim_plan_inner(algo, data, hpu, plan, policy, metrics)
-}
-
 /// Resumes an already-compiled `plan` from `ckpt` on a (possibly
 /// different) simulated machine.
 ///
