@@ -78,6 +78,32 @@ struct Queued {
     workload: Box<dyn Workload>,
 }
 
+impl Queued {
+    /// The job's terminal record over `[start, end]`; only a completed
+    /// run has a service time.
+    fn record(self, outcome: JobOutcome, start: f64, end: f64, retries: u32) -> JobRecord {
+        let service = if outcome == JobOutcome::Completed {
+            end - start
+        } else {
+            0.0
+        };
+        JobRecord {
+            id: self.id,
+            name: self.name,
+            outcome,
+            arrival: self.arrival,
+            start,
+            end,
+            predicted: self.predicted,
+            service,
+            fallback: false,
+            retries,
+            degraded: false,
+            calibration_generation: self.generation,
+        }
+    }
+}
+
 #[derive(Default)]
 struct State {
     queue: Vec<Queued>,
@@ -93,13 +119,17 @@ struct State {
 
 /// Locks the shared serving state, recovering from poison: a worker that
 /// panicked outside the catch boundary must not wedge the whole fleet.
-/// Returns whether the lock was found poisoned so the caller can record
-/// the incident.
-fn lock_recover<'a>(m: &'a Mutex<State>) -> (MutexGuard<'a, State>, bool) {
-    match m.lock() {
-        Ok(g) => (g, false),
-        Err(p) => (p.into_inner(), true),
-    }
+/// With `record`, a poisoned lock is recorded as a typed error.
+fn lock_recover(m: &Mutex<State>, record: bool) -> MutexGuard<'_, State> {
+    m.lock().unwrap_or_else(|p| {
+        let mut st = p.into_inner();
+        if record {
+            st.errors.push(ServeError::Poisoned {
+                context: "native serve state",
+            });
+        }
+        st
+    })
 }
 
 /// Renders a caught panic payload for the typed error record.
@@ -161,25 +191,16 @@ pub fn serve_native(
                 let pool = LevelPool::new(threads_per_worker);
                 // Without a fault configuration a panic is still caught
                 // and typed, just never retried.
-                let recovery =
-                    serve
-                        .faults
-                        .as_ref()
-                        .map(|f| f.recovery)
-                        .unwrap_or(RecoveryPolicy {
-                            max_retries: 0,
-                            backoff_base: 0.0,
-                            backoff_factor: 1.0,
-                            max_backoff: 0.0,
-                        });
+                let recovery = serve.faults.as_ref().map_or(
+                    RecoveryPolicy {
+                        max_retries: 0,
+                        ..RecoveryPolicy::default()
+                    },
+                    |f| f.recovery,
+                );
                 loop {
                     let mut job = {
-                        let (mut st, poisoned) = lock_recover(&state);
-                        if poisoned {
-                            st.errors.push(ServeError::Poisoned {
-                                context: "native serve state",
-                            });
-                        }
+                        let mut st = lock_recover(&state, true);
                         loop {
                             if !st.queue.is_empty() {
                                 let ranks: Vec<Rank> = st
@@ -216,25 +237,13 @@ pub fn serve_native(
                             if let Some(m) = &serve.metrics {
                                 m.inc("native.cancelled", 1);
                             }
-                            let (mut st, _) = lock_recover(&state);
+                            let mut st = lock_recover(&state, false);
                             st.errors.push(ServeError::Cancelled {
                                 job: job.id,
                                 deadline: dl as f64,
                             });
-                            st.records.push(JobRecord {
-                                id: job.id,
-                                name: job.name,
-                                outcome: JobOutcome::Cancelled,
-                                arrival: job.arrival,
-                                start,
-                                end: start,
-                                predicted: job.predicted,
-                                service: 0.0,
-                                fallback: false,
-                                retries: 0,
-                                degraded: false,
-                                calibration_generation: job.generation,
-                            });
+                            st.records
+                                .push(job.record(JobOutcome::Cancelled, start, start, 0));
                             continue;
                         }
                     }
@@ -281,14 +290,10 @@ pub fn serve_native(
                             m.inc("native.retries", u64::from(retries));
                         }
                     }
-                    let (mut st, poisoned) = lock_recover(&state);
-                    if poisoned {
-                        st.errors.push(ServeError::Poisoned {
-                            context: "native serve state",
-                        });
-                    }
+                    let mut st = lock_recover(&state, true);
                     st.busy.push((start, end));
-                    match attempt {
+                    let failed = |fault| JobOutcome::Failed { fault, retries };
+                    let outcome = match attempt {
                         Attempt::Ok => {
                             if let Some(sm) = smoothing {
                                 let service = end - start;
@@ -301,68 +306,24 @@ pub fn serve_native(
                                     st.scale_updates += 1;
                                 }
                             }
-                            st.records.push(JobRecord {
-                                id: job.id,
-                                name: job.name,
-                                outcome: JobOutcome::Completed,
-                                arrival: job.arrival,
-                                start,
-                                end,
-                                predicted: job.predicted,
-                                service: end - start,
-                                fallback: false,
-                                retries,
-                                degraded: false,
-                                calibration_generation: job.generation,
-                            });
+                            JobOutcome::Completed
                         }
-                        Attempt::Err(e) => {
+                        Attempt::Err(source) => {
                             st.errors.push(ServeError::Run {
                                 job: job.id,
-                                source: e,
+                                source,
                             });
-                            st.records.push(JobRecord {
-                                id: job.id,
-                                name: job.name,
-                                outcome: JobOutcome::Failed {
-                                    fault: FaultTag::Error,
-                                    retries,
-                                },
-                                arrival: job.arrival,
-                                start,
-                                end,
-                                predicted: job.predicted,
-                                service: 0.0,
-                                fallback: false,
-                                retries,
-                                degraded: false,
-                                calibration_generation: job.generation,
-                            });
+                            failed(FaultTag::Error)
                         }
                         Attempt::Panic(message) => {
                             st.errors.push(ServeError::WorkerPanic {
                                 job: job.id,
                                 message,
                             });
-                            st.records.push(JobRecord {
-                                id: job.id,
-                                name: job.name,
-                                outcome: JobOutcome::Failed {
-                                    fault: FaultTag::Panic,
-                                    retries,
-                                },
-                                arrival: job.arrival,
-                                start,
-                                end,
-                                predicted: job.predicted,
-                                service: 0.0,
-                                fallback: false,
-                                retries,
-                                degraded: false,
-                                calibration_generation: job.generation,
-                            });
+                            failed(FaultTag::Panic)
                         }
-                    }
+                    };
+                    st.records.push(job.record(outcome, start, end, retries));
                 }
             });
         }
@@ -380,59 +341,45 @@ pub fn serve_native(
                 m.inc("native.submitted", 1);
             }
             let cost = admission_cost(job.workload.as_ref(), threads_per_worker);
-            let (mut st, poisoned) = lock_recover(&state);
-            if poisoned {
-                st.errors.push(ServeError::Poisoned {
-                    context: "native serve state",
-                });
-            }
-            if st.queue.len() >= serve.queue_capacity {
-                if let Some(m) = &serve.metrics {
-                    m.inc("native.rejected", 1);
-                }
-                st.errors.push(ServeError::QueueFull {
-                    job: id as u64,
-                    capacity: serve.queue_capacity,
-                });
-                let generation = st.scale_updates;
-                st.records.push(JobRecord {
-                    id: id as u64,
-                    name: job.name,
-                    outcome: JobOutcome::QueueFull,
-                    arrival,
-                    start: arrival,
-                    end: arrival,
-                    predicted: 0.0,
-                    service: 0.0,
-                    fallback: false,
-                    retries: 0,
-                    degraded: false,
-                    calibration_generation: generation,
-                });
-                continue;
-            }
+            let mut st = lock_recover(&state, true);
             // Price in wall µs with the learned scale; before the first
             // completion (or without calibration) there is no prediction.
             let predicted = match (smoothing, st.scale, cost) {
                 (Some(_), Some(scale), Some(c)) => c * scale,
                 _ => 0.0,
             };
-            let generation = st.scale_updates;
-            st.queue.push(Queued {
+            let q = Queued {
                 id: id as u64,
                 name: job.name,
                 arrival,
                 deadline_us: job.deadline_us,
                 cost: cost.unwrap_or(f64::MAX),
                 predicted,
-                generation,
+                generation: st.scale_updates,
                 skips: 0,
                 workload: job.workload,
-            });
+            };
+            if st.queue.len() >= serve.queue_capacity {
+                if let Some(m) = &serve.metrics {
+                    m.inc("native.rejected", 1);
+                }
+                st.errors.push(ServeError::QueueFull {
+                    job: q.id,
+                    capacity: serve.queue_capacity,
+                });
+                let rejected = Queued {
+                    predicted: 0.0,
+                    ..q
+                };
+                st.records
+                    .push(rejected.record(JobOutcome::QueueFull, arrival, arrival, 0));
+                continue;
+            }
+            st.queue.push(q);
             drop(st);
             cvar.notify_one();
         }
-        let (mut st, _) = lock_recover(&state);
+        let mut st = lock_recover(&state, false);
         st.done = true;
         drop(st);
         cvar.notify_all();
